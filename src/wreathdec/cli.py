@@ -28,20 +28,27 @@ BLOCKS_GUARD = 40
 KMATRIX_GUARD = 6
 
 
-def _guard_from_env() -> int | None:
-    raw = os.environ.get("WREATH_GUARD_ELEMS")
-    return int(raw) if raw else None
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SystemExit(f"error: {message}")
 
 
+def _guard_from_env() -> int | None:
+    raw = os.environ.get("WREATH_GUARD_ELEMS")
+    if not raw:
+        return None
+    _require(raw.strip().isdecimal(),
+             f"WREATH_GUARD_ELEMS must be a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -58,18 +65,18 @@ def _json_text(payload) -> str:
     return json.dumps(payload, separators=(",", ":"), default=str) + "\n"
 
 
-def cmd_kmatrix(args) -> int:
+def _require_label_args(args) -> None:
     _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
     _require(0 <= args.w <= KMATRIX_GUARD, f"w must be in 0..{KMATRIX_GUARD}")
-    rows = [format_multipartition(a) for a in decomp.hlabels(args.p, args.w)]
-    cols = [format_multipartition(g) for g in decomp.glabels(args.p, args.w)]
-    matrix = decomp.k_matrix(args.p, args.w)
-    entries = [
-        [i, j, v] for i, row in enumerate(matrix) for j, v in enumerate(row) if v
-    ]
+
+
+def _emit_matrix(args, rows, cols, entries, **extra) -> int:
+    """Sparse [row, col, value] entries as JSON, extra fields last, or as
+    flattened CSV label triples."""
     if args.format == "json":
         _emit(args, _json_text(
-            {"p": args.p, "w": args.w, "rows": rows, "cols": cols, "entries": entries}
+            {"p": args.p, "w": args.w, "rows": rows, "cols": cols, "entries": entries,
+             **extra}
         ))
     else:
         _emit(args, _csv_text(
@@ -79,32 +86,20 @@ def cmd_kmatrix(args) -> int:
     return 0
 
 
+def cmd_kmatrix(args) -> int:
+    _require_label_args(args)
+    rows = [format_multipartition(a) for a in decomp.hlabels(args.p, args.w)]
+    cols = [format_multipartition(g) for g in decomp.glabels(args.p, args.w)]
+    return _emit_matrix(args, rows, cols, decomp.k_entries(args.p, args.w))
+
+
 def cmd_gram(args) -> int:
-    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
-    _require(0 <= args.w <= KMATRIX_GUARD, f"w must be in 0..{KMATRIX_GUARD}")
+    _require_label_args(args)
     labels = [format_multipartition(g) for g in decomp.glabels(args.p, args.w)]
-    gram = decomp.gram_matrix(args.p, args.w)
-    det = decomp.determinant(gram)
-    entries = [
-        [i, j, v] for i, row in enumerate(gram) for j, v in enumerate(row) if v
-    ]
-    if args.format == "json":
-        _emit(args, _json_text(
-            {
-                "p": args.p,
-                "w": args.w,
-                "rows": labels,
-                "cols": labels,
-                "entries": entries,
-                "determinant": det,
-            }
-        ))
-    else:
-        _emit(args, _csv_text(
-            ["row_label", "col_label", "value"],
-            [[labels[i], labels[j], v] for i, j, v in entries],
-        ))
-    return 0
+    return _emit_matrix(
+        args, labels, labels, decomp.gram_entries(args.p, args.w),
+        determinant=decomp.gram_determinant(args.p, args.w),
+    )
 
 
 def _block_records(n: int, p: int):
@@ -179,6 +174,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require(args.w >= 0, f"w must be nonnegative, got {args.w}")
     guard = _guard_from_env()
     claims = oracle.verify_suite(args.p, args.w, guard=guard)
     if not args.quiet:

@@ -163,20 +163,3 @@ def root_of_unity(m: int, k: int) -> Cyclotomic:
     vec[k % m] = Fraction(1)
     return Cyclotomic(m, vec)
 
-
-def add(a: Cyclotomic, b) -> Cyclotomic:
-    return a + b
-
-
-def mul(a: Cyclotomic, b) -> Cyclotomic:
-    return a * b
-
-
-def conjugate(a: Cyclotomic) -> Cyclotomic:
-    return a.conjugate()
-
-
-def as_rational(a) -> Fraction:
-    if isinstance(a, Cyclotomic):
-        return a.as_rational()
-    return Fraction(a)

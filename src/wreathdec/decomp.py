@@ -6,8 +6,9 @@ w ("G-labels"); those of the small one (order (p-1)^w * w!) by (p-1)-tuples
 ("H-labels"), the missing slot sitting at position r = (p+1)/2.  Everything
 here works purely on labels: the integer coefficient k_coefficient(alpha,
 gamma) is the multiplicity of the G-irreducible gamma in the induction of the
-H-irreducible alpha, computed from Littlewood-Richardson numbers, and the
-other operations are assembled from it.  No group is ever constructed.
+H-irreducible alpha, computed from Littlewood-Richardson numbers by one engine
+of sparse induction rows, of which every other operation is a view.  No group
+is ever constructed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 from math import factorial
 
 from . import sn_char
-from .lr import iterated_lr, lr_coefficient
+from .lr import restriction_expansion, schur_product
 from .partitions import (
     MultiPartition,
     Partition,
@@ -42,17 +43,62 @@ def hlabels(p: int, w: int) -> tuple[MultiPartition, ...]:
     return generate_multipartitions(w, p - 1)
 
 
-def _split_glabel(gamma: MultiPartition, p: int):
-    mid = r_slot(p)
-    return gamma[:mid] + gamma[mid + 1 :], gamma[mid]
+def _key_row(key: tuple[Partition, ...]) -> dict:
+    """Induction row {(gamma^i in key order, gamma^r): k} of an orbit key, the
+    sorted nonempty components of an H-label.  Each split of every component a
+    adds prod c^a_{beta, gamma^i} times the Schur product of the betas."""
+    slot_splits = [
+        [t for j in range(sum(a) + 1) for t in restriction_expansion(a, j)]
+        for a in key
+    ]
+    row: dict = {}
+    for combo in product(*slot_splits):
+        coeff = 1
+        for _, _, c in combo:
+            coeff *= c
+        gammas = tuple(g for _, g, _ in combo)
+        for gamma_r, cr in schur_product(b for b, _, _ in combo).items():
+            row[gammas, gamma_r] = row.get((gammas, gamma_r), 0) + coeff * cr
+    return row
 
 
-def _check_pair(alpha: MultiPartition, gamma: MultiPartition, p: int) -> None:
-    _require_odd_prime(p)
-    if len(alpha) != p - 1 or len(gamma) != p:
-        raise ValueError(f"label lengths {len(alpha)}, {len(gamma)} do not fit p={p}")
-    if sum(map(sum, alpha)) != sum(map(sum, gamma)):
-        raise ValueError("labels have different weights")
+class _Engine:
+    """Induction rows of the H-labels of one p.  Empty slots are inert and
+    permuting the p-1 non-r slots of alpha and gamma together leaves k
+    unchanged, so each orbit key's row is computed once per engine and
+    scattered back through the slot permutation."""
+
+    def __init__(self, p: int):
+        _require_odd_prime(p)
+        self.p, self.mid = p, r_slot(p)
+        self._rows: dict = {}
+
+    def _orbit(self, alpha: MultiPartition):
+        if len(alpha) != self.p - 1:
+            raise ValueError(f"expected {self.p - 1} components, got {len(alpha)}")
+        slots = sorted((s for s, a in enumerate(alpha) if a), key=alpha.__getitem__)
+        key = tuple(alpha[s] for s in slots)
+        if key not in self._rows:
+            self._rows[key] = _key_row(key)
+        return slots, self._rows[key]
+
+    def induce(self, alpha: MultiPartition) -> dict[MultiPartition, int]:
+        slots, row = self._orbit(alpha)
+        result = {}
+        for (gammas, gamma_r), k in row.items():
+            gamma = [()] * (self.p - 1)
+            for s, g in zip(slots, gammas):
+                gamma[s] = g
+            gamma.insert(self.mid, gamma_r)
+            result[tuple(gamma)] = k
+        return result
+
+    def coefficient(self, alpha: MultiPartition, gamma: MultiPartition) -> int:
+        gamma_i, gamma_r = gamma[: self.mid] + gamma[self.mid + 1 :], gamma[self.mid]
+        if any(g and not a for a, g in zip(alpha, gamma_i)):
+            return 0  # shortcut: the key row has no entry for such a gamma
+        slots, row = self._orbit(alpha)
+        return row.get((tuple(gamma_i[s] for s in slots), gamma_r), 0)
 
 
 def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
@@ -60,101 +106,41 @@ def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
 
     Sums, over tuples of partitions beta^i of size |alpha^i| - |gamma^i|, the
     product of the slot-wise coefficients c^{alpha^i}_{beta^i, gamma^i} times
-    the iterated coefficient of gamma^r in the beta tuple.  Zero whenever some
-    |gamma^i| exceeds |alpha^i|.
+    the coefficient of gamma^r in the Schur product of the betas.  Zero
+    whenever some |gamma^i| exceeds |alpha^i|.
     """
-    _check_pair(alpha, gamma, p)
-    gamma_i, gamma_r = _split_glabel(gamma, p)
-    if any(sum(g) > sum(a) for a, g in zip(alpha, gamma_i)):
-        return 0
-    if sum(gamma_r) != sum(sum(a) - sum(g) for a, g in zip(alpha, gamma_i)):
-        return 0
-    slot_terms = []
-    for a, g in zip(alpha, gamma_i):
-        terms = [
-            (beta, c)
-            for beta in generate_partitions(sum(a) - sum(g))
-            if (c := lr_coefficient(a, beta, g))
-        ]
-        if not terms:
-            return 0
-        slot_terms.append(terms)
-    total = 0
-    for combo in product(*slot_terms):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        total += coeff * iterated_lr(gamma_r, [b for b, _ in combo])
-    return total
+    _require_odd_prime(p)
+    if len(alpha) != p - 1 or len(gamma) != p:
+        raise ValueError(f"label lengths {len(alpha)}, {len(gamma)} do not fit p={p}")
+    if sum(map(sum, alpha)) != sum(map(sum, gamma)):
+        raise ValueError("labels have different weights")
+    return _Engine(p).coefficient(alpha, gamma)
 
 
 def induce_H_to_G(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All G-labels appearing in the induction of alpha, with multiplicities."""
-    _require_odd_prime(p)
-    if len(alpha) != p - 1:
-        raise ValueError(f"expected {p - 1} components, got {len(alpha)}")
-    mid = r_slot(p)
-    # per slot, every (gamma^i, beta^i) split of alpha^i with a nonzero coefficient
-    slot_splits = []
-    for a in alpha:
-        splits = []
-        for g in range(sum(a) + 1):
-            for gam in generate_partitions(g):
-                for beta in generate_partitions(sum(a) - g):
-                    c = lr_coefficient(a, beta, gam)
-                    if c:
-                        splits.append((gam, beta, c))
-        slot_splits.append(splits)
-    result: dict[MultiPartition, int] = {}
-    for combo in product(*slot_splits):
-        coeff = 1
-        for _, _, c in combo:
-            coeff *= c
-        betas = [b for _, b, _ in combo]
-        jr = sum(map(sum, betas))
-        for gamma_r in generate_partitions(jr):
-            cr = iterated_lr(gamma_r, betas)
-            if cr:
-                gamma = tuple(g for g, _, _ in combo)
-                gamma = gamma[:mid] + (gamma_r,) + gamma[mid:]
-                result[gamma] = result.get(gamma, 0) + coeff * cr
-    return result
+    return _Engine(p).induce(alpha)
 
 
 def restrict_G_to_H(gamma: MultiPartition, p: int) -> dict[MultiPartition, int]:
-    """All H-labels appearing in the restriction of gamma, with multiplicities."""
-    _require_odd_prime(p)
+    """All H-labels appearing in the restriction of gamma, with multiplicities,
+    ordered by the component sizes of alpha, ascending, then as in hlabels."""
+    engine = _Engine(p)
     if len(gamma) != p:
         raise ValueError(f"expected {p} components, got {len(gamma)}")
-    gamma_i, gamma_r = _split_glabel(gamma, p)
-    result: dict[MultiPartition, int] = {}
-    for extra in _compositions(sum(gamma_r), p - 1):
-        sizes = [sum(g) + e for g, e in zip(gamma_i, extra)]
-        for alpha in product(*(generate_partitions(s) for s in sizes)):
-            k = k_coefficient(alpha, gamma, p)
-            if k:
-                result[alpha] = k
-    return result
-
-
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    terms = [
+        (alpha, k)
+        for alpha in hlabels(p, sum(map(sum, gamma)))
+        if (k := engine.coefficient(alpha, gamma))
+    ]
+    terms.sort(key=lambda term: [sum(a) for a in term[0]])
+    return dict(terms)
 
 
 def degree_G(gamma: MultiPartition, p: int) -> int:
     """Degree of the G-irreducible gamma: the r-th base character has degree
     p - 1, all others are linear."""
-    _require_odd_prime(p)
-    w = sum(map(sum, gamma))
-    deg = factorial(w) * (p - 1) ** sum(gamma[r_slot(p)])
-    for comp in gamma:
-        deg = deg // factorial(sum(comp)) * sn_char.degree(comp)
-    return deg
+    return degree_H(gamma, p) * (p - 1) ** sum(gamma[r_slot(p)])
 
 
 def degree_H(alpha: MultiPartition, p: int) -> int:
@@ -167,31 +153,62 @@ def degree_H(alpha: MultiPartition, p: int) -> int:
     return deg
 
 
+def _k_rows(p: int, w: int):
+    """Rows of k_matrix(p, w) as sorted (column, k) lists of the nonzero entries."""
+    cols = {g: j for j, g in enumerate(glabels(p, w))}
+    engine = _Engine(p)
+    for alpha in hlabels(p, w):
+        yield sorted((cols[gamma], k) for gamma, k in engine.induce(alpha).items())
+
+
+def k_entries(p: int, w: int) -> list[list[int]]:
+    """Nonzero entries [i, j, k] of k_matrix(p, w), row by row, columns ascending."""
+    return [[i, j, k] for i, row in enumerate(_k_rows(p, w)) for j, k in row]
+
+
+def gram_entries(p: int, w: int) -> list[list[int]]:
+    """Nonzero entries [i, j, v] of gram_matrix(p, w), row by row, columns
+    ascending, accumulated from the sparse rows of the coefficient matrix."""
+    gram: list[dict[int, int]] = [{} for _ in glabels(p, w)]
+    for row in _k_rows(p, w):
+        for i, vi in row:
+            acc = gram[i]
+            for j, vj in row:
+                acc[j] = acc.get(j, 0) + vi * vj
+    return [[i, j, acc[j]] for i, acc in enumerate(gram) for j in sorted(acc)]
+
+
+def _dense(entries, nrows: int, ncols: int) -> list[list[int]]:
+    matrix = [[0] * ncols for _ in range(nrows)]
+    for i, j, v in entries:
+        matrix[i][j] = v
+    return matrix
+
+
 def k_matrix(p: int, w: int) -> list[list[int]]:
     """Dense coefficient matrix: rows over hlabels(p, w), columns over
     glabels(p, w), both in enumeration order."""
-    cols = {g: j for j, g in enumerate(glabels(p, w))}
-    matrix = []
-    for alpha in hlabels(p, w):
-        row = [0] * len(cols)
-        for gamma, k in induce_H_to_G(alpha, p).items():
-            row[cols[gamma]] = k
-        matrix.append(row)
-    return matrix
+    return _dense(k_entries(p, w), len(hlabels(p, w)), len(glabels(p, w)))
 
 
 def gram_matrix(p: int, w: int) -> list[list[int]]:
     """Inner products of the restrictions of pairs of G-irreducibles:
     entry (i, j) = sum_alpha k(alpha, gamma_i) * k(alpha, gamma_j)."""
-    kmat = k_matrix(p, w)
     n = len(glabels(p, w))
-    gram = [[0] * n for _ in range(n)]
-    for row in kmat:
-        support = [(j, v) for j, v in enumerate(row) if v]
-        for i, vi in support:
-            for j, vj in support:
-                gram[i][j] += vi * vj
-    return gram
+    return _dense(gram_entries(p, w), n, n)
+
+
+def gram_determinant(p: int, w: int) -> int:
+    """Determinant of gram_matrix(p, w).
+
+    The Gram matrix is K^T K with K = k_matrix(p, w) of shape #H-labels x
+    #G-labels.  When #H < #G, which holds for every w >= 1, its rank is at
+    most #H and the determinant is 0 by Cauchy-Binet; only otherwise (w = 0)
+    is it eliminated.
+    """
+    if len(hlabels(p, w)) < len(glabels(p, w)):
+        return 0
+    return determinant(gram_matrix(p, w))
 
 
 def determinant(matrix: list[list[int]]) -> int:

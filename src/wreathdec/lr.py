@@ -1,7 +1,7 @@
 """Littlewood-Richardson coefficients, exact and at desk scale.
 
 The basic coefficient counts skew semistandard tableaux whose reverse reading
-word is a lattice word; the iterated variant folds that rule over a list of
+word is a lattice word; the Schur product folds that rule over a list of
 factors, which is how multiplicities of inductions from Young-style subgroups
 are obtained.
 """
@@ -9,7 +9,8 @@ are obtained.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .partitions import Partition, generate_partitions
 
@@ -67,23 +68,31 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     return fill(0)
 
 
-def iterated_lr(target: Partition, factors: Iterable[Partition]) -> int:
-    """Multiplicity of target in the induction of a product of factors.
+def schur_product(factors: Iterable[Partition]) -> Mapping[Partition, int]:
+    """Read-only expansion {shape: coeff} of the product of the Schur functions
+    of factors.  The fold of lr_coefficient is done once per multiset of nonempty
+    factors (empty ones are the unit) and cached with every prefix of it."""
+    return _schur_product(tuple(sorted(phi for phi in factors if phi)))
 
-    Folds lr_coefficient left to right through a sparse map of intermediate
-    shapes; the result does not depend on the order of the factors.
-    """
-    state: dict[Partition, int] = {(): 1}
-    size = 0
-    for phi in factors:
-        size += sum(phi)
-        new: dict[Partition, int] = {}
-        for mu in generate_partitions(size):
-            m = sum(c * lr_coefficient(mu, nu, phi) for nu, c in state.items())
-            if m:
-                new[mu] = m
-        state = new
-    return state.get(target, 0)
+
+@cache
+def _schur_product(factors: tuple[Partition, ...]) -> Mapping[Partition, int]:
+    if not factors:
+        return MappingProxyType({(): 1})
+    state = _schur_product(factors[:-1])
+    phi = factors[-1]
+    out: dict[Partition, int] = {}
+    for mu in generate_partitions(sum(map(sum, factors))):
+        m = sum(c * lr_coefficient(mu, nu, phi) for nu, c in state.items())
+        if m:
+            out[mu] = m
+    return MappingProxyType(out)
+
+
+def iterated_lr(target: Partition, factors: Iterable[Partition]) -> int:
+    """Multiplicity of target in the induction of a product of factors; it does
+    not depend on the order of the factors."""
+    return schur_product(factors).get(target, 0)
 
 
 def restriction_expansion(

@@ -328,9 +328,6 @@ class ClassFunction:
             for v in values
         )
 
-    def value_at(self, elem):
-        return self.values[self.group.class_of(elem)]
-
     def degree(self):
         return self.values[self.group.class_of(self.group.identity)].as_rational()
 

@@ -145,10 +145,6 @@ def p_core_and_quotient(lam: Partition, p: int) -> PQuotientResult:
     return PQuotientResult(core, quotient, weight)
 
 
-def p_weight(lam: Partition, p: int) -> int:
-    return p_core_and_quotient(lam, p).weight
-
-
 def reconstruct_from_core_quotient(
     core: Partition, quotient: MultiPartition, p: int
 ) -> Partition:

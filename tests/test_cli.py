@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,22 @@ def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     return json.loads(out)
+
+
+def run_failing(*argv, **env):
+    """Run the CLI as a user would and require one `error:` line, no output
+    and a nonzero exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wreathdec.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
 
 
 def dense_from_entries(payload):
@@ -71,6 +91,14 @@ def test_gram_output(capsys):
     assert matrix == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
     assert payload["determinant"] == 0
     assert matrix == [list(col) for col in zip(*matrix)]
+
+
+def test_gram_determinant_matches_elimination(capsys):
+    for p, w_max in [(3, 4), (5, 3), (7, 2)]:
+        for w in range(w_max + 1):
+            payload = run_json(capsys, "gram", "--p", str(p), "--w", str(w))
+            expected = decomp.determinant(decomp.gram_matrix(p, w))
+            assert payload["determinant"] == expected == (1 if w == 0 else 0), (p, w)
 
 
 def test_gram_matches_library(capsys):
@@ -177,3 +205,20 @@ def test_rejects_bad_parameters(capsys):
         main(["kmatrix", "--p", "3", "--w", "99"])
     with pytest.raises(SystemExit):
         main(["basicset", "--p", "3", "--n", "999"])
+
+
+def test_out_into_missing_directory_is_an_error(tmp_path):
+    target = tmp_path / "missing" / "k.json"
+    line = run_failing("kmatrix", "--p", "3", "--w", "1", "--out", str(target))
+    assert str(target) in line
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_bad_guard_env_is_an_error(value):
+    line = run_failing("verify", "--p", "3", "--w", "1", "--quiet", WREATH_GUARD_ELEMS=value)
+    assert "WREATH_GUARD_ELEMS" in line
+
+
+def test_verify_rejects_negative_weight():
+    assert "w must be nonnegative" in run_failing("verify", "--p", "3", "--w", "-1")

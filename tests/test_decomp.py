@@ -10,6 +10,7 @@ from wreathdec.decomp import (
     degree_H,
     determinant,
     glabels,
+    gram_entries,
     gram_matrix,
     hlabels,
     induce_H_to_G,
@@ -159,6 +160,21 @@ def test_gram_symmetry_and_minors():
         for k in range(1, n + 1):
             sub = [row[:k] for row in gram[:k]]
             assert determinant(sub) >= 0
+
+
+def test_sparse_gram_entries_are_symmetric_and_equal_k_transpose_k():
+    for p, w in [(3, 3), (5, 2), (7, 2)]:
+        kmat = k_matrix(p, w)
+        n = len(glabels(p, w))
+        dense = [
+            [sum(row[i] * row[j] for row in kmat) for j in range(n)] for i in range(n)
+        ]
+        entries = gram_entries(p, w)
+        assert entries == [
+            [i, j, v] for i, row in enumerate(dense) for j, v in enumerate(row) if v
+        ]
+        assert sorted([j, i, v] for i, j, v in entries) == entries
+        assert gram_matrix(p, w) == dense
 
 
 def test_gram_unit_block_on_kernel_labels():
