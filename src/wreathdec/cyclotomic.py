@@ -2,8 +2,8 @@
 
 Elements are stored in the canonical power basis 1, z, ..., z^(d-1) of
 Q[x]/(Phi_m), where Phi_m is the m-th cyclotomic polynomial and d its degree,
-so equality is coefficient comparison.  Coefficients are Fractions; no
-floating point anywhere.
+so equality is coefficient comparison.  Integral coefficients are stored as
+ints and the others as Fractions; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
         q[i] = num[i + len(den) - 1]
         for j, c in enumerate(den):
             num[i + j] -= q[i] * c
-    assert not any(num), "division was not exact"
+    if any(num):
+        raise RuntimeError("division was not exact")
     return q
 
 
@@ -47,15 +48,15 @@ class Cyclotomic:
     def __init__(self, order: int, coeffs=()):
         self.order = order
         d = len(cyclotomic_polynomial(order)) - 1
-        vec = [Fraction(c) for c in coeffs]
+        vec = [c if type(c) is int else _exact(c) for c in coeffs]
         if len(vec) > d:
             vec = _reduce(vec, cyclotomic_polynomial(order))
-        vec += [Fraction(0)] * (d - len(vec))
+        vec += [0] * (d - len(vec))
         self.coeffs = tuple(vec)
 
     @classmethod
     def from_rational(cls, order: int, value) -> "Cyclotomic":
-        return cls(order, (Fraction(value),))
+        return cls(order, (value,))
 
     def _coerce(self, other) -> "Cyclotomic":
         if isinstance(other, Cyclotomic):
@@ -91,11 +92,13 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Rational):
+            return Cyclotomic(self.order, [a * other for a in self.coeffs])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -108,7 +111,7 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: sends the root of unity to its inverse."""
         m = self.order
-        vec = [Fraction(0)] * m
+        vec = [0] * m
         for j, c in enumerate(self.coeffs):
             vec[(-j) % m] += c
         return Cyclotomic(m, vec)
@@ -120,7 +123,7 @@ class Cyclotomic:
         """Exact rational value; raises ValueError if the element is irrational."""
         if not self.is_rational():
             raise ValueError(f"irrational cyclotomic element: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def __eq__(self, other):
         if isinstance(other, Rational):
@@ -146,7 +149,13 @@ class Cyclotomic:
         return " + ".join(terms) if terms else "0"
 
 
-def _reduce(vec: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
+def _exact(c) -> int | Fraction:
+    # the int itself when the rational c is integral, else a Fraction
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reduce(vec: list, phi: tuple[int, ...]) -> list:
     d = len(phi) - 1
     vec = list(vec)
     for i in range(len(vec) - 1, d - 1, -1):
@@ -154,12 +163,12 @@ def _reduce(vec: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
         if c:
             for j in range(d + 1):
                 vec[i - d + j] -= c * phi[j]
-    return vec[:d]
+    return [c if type(c) is int else _exact(c) for c in vec[:d]]
 
 
 def root_of_unity(m: int, k: int) -> Cyclotomic:
     """z_m^k in canonical form."""
-    vec = [Fraction(0)] * (k % m + 1)
-    vec[k % m] = Fraction(1)
+    vec = [0] * (k % m + 1)
+    vec[k % m] = 1
     return Cyclotomic(m, vec)
 

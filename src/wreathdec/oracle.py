@@ -2,8 +2,9 @@
 
 Everything the label-level engine computes by formula is recomputed here the
 hard way: the base groups are materialized as explicit element tables, the
-wreath products as explicit element sets, conjugacy classes come from orbit
-enumeration, induced characters from whole-group averaging, and every
+wreath products as explicit element sets, conjugacy classes are conjugation
+orbits closed under a generating set (checked against cycle labels), induced
+characters are class sums over every member of each class, and every
 multiplicity is an exact inner product of class functions.  Agreement between
 the two routes is the whole point of this module.
 """
@@ -63,9 +64,10 @@ def index_exponents(p: int) -> dict[int, int]:
 
 class BaseGroup:
     """A small concrete group: explicit elements, multiplication, inversion,
-    and the full set of irreducible character value tables (in slot order)."""
+    a generating set, and the full set of irreducible character value tables
+    (in slot order)."""
 
-    def __init__(self, name, elements, identity, mult, inv, irr, value_order):
+    def __init__(self, name, elements, identity, mult, inv, irr, value_order, generators):
         self.name = name
         self.elements = tuple(elements)
         self.identity = identity
@@ -73,6 +75,7 @@ class BaseGroup:
         self.inv = inv
         self.irr = irr
         self.value_order = value_order
+        self.generators = tuple(generators)
         self._build_classes()
 
     def _build_classes(self):
@@ -141,12 +144,12 @@ def base_group(p: int) -> BasePair:
             e = exps[i]
             table = {(a, b): zeta[e * b % m] for (a, b) in g_elements}
         g_irr.append(table)
-    G = BaseGroup("G", g_elements, (0, 0), gmult, ginv, tuple(g_irr), m)
+    G = BaseGroup("G", g_elements, (0, 0), gmult, ginv, tuple(g_irr), m, [(1, 0), (0, 1)])
 
     h_elements = list(range(m))
     h_irr = tuple({b: zeta[exps[i] * b % m] for b in h_elements} for i in islots)
     H = BaseGroup(
-        "H", h_elements, 0, lambda x, y: (x + y) % m, lambda x: (-x) % m, h_irr, m
+        "H", h_elements, 0, lambda x, y: (x + y) % m, lambda x: (-x) % m, h_irr, m, [1]
     )
     return BasePair(p, r, islots, g, G, H)
 
@@ -203,7 +206,7 @@ class WreathGroup:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.identity = ((base.identity,) * w, tuple(range(w)))
         self._char_cache: dict[MultiPartition, "ClassFunction"] = {}
-        self._build_classes()
+        self._build_classes(self._generators())
 
     def mult(self, x, y):
         f, s = x
@@ -230,49 +233,52 @@ class WreathGroup:
     def class_label(self, elem) -> MultiPartition:
         """Cycle structure: one partition per base class, collecting the
         lengths of the cycles whose product lands in that class."""
-        f, sigma = elem
-        cycles, _ = perm_cycles(sigma)
+        cycles, _ = perm_cycles(elem[1])
         parts: list[list[int]] = [[] for _ in self.base.class_reps]
-        for cyc in cycles:
-            prod = reduce(self.base.mult, (f[i] for i in cyc))
+        for cyc, prod in zip(cycles, self.cycle_products(elem)):
             parts[self.base.class_of[prod]].append(len(cyc))
         return tuple(tuple(sorted(ps, reverse=True)) for ps in parts)
 
-    def _build_classes(self):
-        n = len(self.elements)
+    def _generators(self) -> list:
+        """The base generators in coordinate 0, the transposition (0 1) and
+        the w-cycle: together they generate the wreath product."""
+        w, e, ident = self.w, self.base.identity, tuple(range(self.w))
+        gens = [((b,) + (e,) * (w - 1), ident) for b in self.base.generators] if w else []
+        if w >= 2:
+            gens += [((e,) * w, (1, 0) + ident[2:]), ((e,) * w, ident[1:] + (0,))]
+        return list(dict.fromkeys(gens))
+
+    def _build_classes(self, generators):
+        # Scan the elements in order; each unassigned one starts a class whose
+        # orbit is closed by breadth-first conjugation with the generators.
         labels = [self.class_label(e) for e in self.elements]
-        invs = [self.inv(e) for e in self.elements]
-        assigned = [-1] * n
-        reps, sizes, rows = [], [], []
+        conj = [(s, self.inv(s)) for s in generators]
+        assigned = [-1] * len(self.elements)
+        reps, members = [], []
         for i, g in enumerate(self.elements):
             if assigned[i] >= 0:
                 continue
-            row = [
-                self.index[self.mult(self.mult(x, g), xi)]
-                for x, xi in zip(self.elements, invs)
-            ]
-            members = set(row)
             c = len(reps)
-            for j in members:
-                assigned[j] = c
+            assigned[i] = c
+            orbit = [i]
+            for j in orbit:  # the list grows while it is walked
+                for s, si in conj:
+                    k = self.index[self.mult(self.mult(s, self.elements[j]), si)]
+                    if assigned[k] < 0:
+                        assigned[k] = c
+                        orbit.append(k)
             reps.append(g)
-            sizes.append(len(members))
-            rows.append(row)
-        orbit_partition = {}
-        for i, c in enumerate(assigned):
-            orbit_partition.setdefault(c, set()).add(i)
+            members.append(orbit)
         label_partition = {}
         for i, lab in enumerate(labels):
             label_partition.setdefault(lab, set()).add(i)
-        if set(map(frozenset, orbit_partition.values())) != set(
-            map(frozenset, label_partition.values())
-        ):
+        if set(map(frozenset, members)) != set(map(frozenset, label_partition.values())):
             raise RuntimeError("conjugation orbits disagree with cycle structures")
         self.class_reps = tuple(reps)
-        self.class_sizes = tuple(sizes)
+        self.class_sizes = tuple(map(len, members))
         self.class_labels = tuple(labels[self.index[rep]] for rep in reps)
         self.class_of_index = tuple(assigned)
-        self._conj_rows = rows
+        self._class_members = members
 
     def class_of(self, elem) -> int:
         return self.class_of_index[self.index[elem]]
@@ -382,18 +388,18 @@ def _block_chi0(group: WreathGroup, blocks):
 
 
 def induce(group: WreathGroup, chi0, subgroup_order: int) -> ClassFunction:
-    """Induction by explicit whole-group averaging of the zero-extended
-    subgroup character chi0 (a function on elements, None outside)."""
-    cached = [chi0(e) for e in group.elements]
-    scale = Fraction(1, subgroup_order)
+    """Induction of the zero-extended subgroup character chi0 (a function on
+    elements, None outside) by class sums: the value on a class c is
+    |G| / (|K| |c|) times the sum of chi0 over the members of c, since
+    conjugating by all of G hits each member |G| / |c| times."""
     values = []
-    for row in group._conj_rows:
+    for members in group._class_members:
         acc = Cyclotomic(group.base.value_order)
-        for xi in row:
-            v = cached[xi]
+        for i in members:
+            v = chi0(group.elements[i])
             if v is not None:
                 acc = acc + v
-        values.append(acc * scale)
+        values.append(acc * Fraction(group.order, subgroup_order * len(members)))
     return ClassFunction(group, values)
 
 
@@ -434,7 +440,8 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
         for _, size, _, _ in blocks:
             sub_order *= factorial(size)
         chi = induce(group, _block_chi0(group, blocks), sub_order)
-    assert inner_product(chi, chi) == 1, f"character {label} does not have norm 1"
+    if inner_product(chi, chi) != 1:
+        raise RuntimeError(f"character {label} does not have norm 1")
     group._char_cache[label] = chi
     return chi
 
@@ -692,7 +699,7 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
     for elem in hw.elements:
         f, sigma = _embed_h(elem)
         got = _tilde_value(gw.base, psi_r, trivial, f, sigma)
-        prods = [reduce(gw.base.mult, (f[i] for i in cyc)) for cyc in perm_cycles(sigma)[0]]
+        prods = gw.cycle_products((f, sigma))
         expected = (p - 1) ** len(prods) if all(x == (0, 0) for x in prods) else 0
         ok = ok and got == expected
     out.append(_claim("heavy_extension_closed_form", {"p": p, "w": w}, True, ok))

@@ -141,7 +141,8 @@ def p_core_and_quotient(lam: Partition, p: int) -> PQuotientResult:
     core_beta = [q + p * m for q, r in enumerate(runners) for m in range(len(r))]
     core = partition_from_beta(core_beta)
     weight = sum(sum(comp) for comp in quotient)
-    assert sum(core) + p * weight == sum(lam)
+    if sum(core) + p * weight != sum(lam):
+        raise RuntimeError(f"abacus lost boxes for {lam} at p={p}")
     return PQuotientResult(core, quotient, weight)
 
 

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wreathdec.cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity
+from wreathdec.cyclotomic import (
+    Cyclotomic,
+    _polydiv_exact,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 
 KNOWN_PHI = {
     1: (-1, 1),
@@ -116,3 +121,44 @@ def test_linear_character_table_orthogonality():
                     Cyclotomic(m),
                 )
                 assert total == (m if i == j else 0)
+
+
+def test_integral_coefficients_are_ints():
+    z = root_of_unity(6, 1)
+    value = z * 3 + Fraction(4, 2)
+    assert all(type(c) is int for c in value.coeffs)
+    assert type((z * Fraction(1, 2)).coeffs[1]) is Fraction
+    assert type((z * Fraction(1, 2) * 2).coeffs[1]) is int
+    # z^2 = -1 in Q(i): the halves cancel during the reduction modulo Phi_4
+    reduced = Cyclotomic(4, [Fraction(1, 2), 0, Fraction(1, 2)])
+    assert reduced.coeffs == (0, 0) and all(type(c) is int for c in reduced.coeffs)
+
+
+def test_as_rational_returns_a_fraction():
+    values = (Cyclotomic.from_rational(4, 3), Cyclotomic(4), Cyclotomic(4, [Fraction(1, 3)]))
+    for value in values:
+        assert type(value.as_rational()) is Fraction
+
+
+def test_fraction_and_int_coefficients_agree():
+    for m in (1, 4, 6):
+        a, b = Cyclotomic(m, [Fraction(2)]), Cyclotomic(m, [2])
+        assert a == b and hash(a) == hash(b)
+        assert a.coeffs == b.coeffs
+    a = Cyclotomic(6, [Fraction(2), Fraction(-3), Fraction(1, 2)])
+    b = Cyclotomic(6, [2, -3, Fraction(1, 2)])
+    assert a == b and hash(a) == hash(b)
+
+
+def test_repr_of_integral_and_fractional_coefficients():
+    assert repr(Cyclotomic(6, [2])) == "2"
+    assert repr(Cyclotomic(6, [Fraction(1, 2)])) == "1/2"
+    assert repr(Cyclotomic(6, [2, Fraction(1, 2)])) == "2 + 1/2*z6^1"
+    assert repr(Cyclotomic(4, [Fraction(-1, 2), -2])) == "-1/2 + -2*z4^1"
+    assert repr(Cyclotomic(5)) == "0"
+
+
+def test_inexact_polynomial_division_raises():
+    assert _polydiv_exact([-1, 0, 1], (1, 1)) == [-1, 1]
+    with pytest.raises(RuntimeError):
+        _polydiv_exact([1, 0, 1], (1, 1))

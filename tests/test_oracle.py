@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +240,48 @@ def test_multiplicities_are_rational_integers():
         value = inner_product(res, parametrized_character(h1, alpha))
         assert isinstance(value, Fraction)
         assert value.denominator == 1 and value >= 0
+
+
+def test_inner_products_at_weight_two_are_fractions():
+    g2 = wreath_group(3, 2, "G")
+    chars = [parametrized_character(g2, lab) for lab in generate_multipartitions(2, 3)]
+    for a in chars:
+        for b in chars:
+            value = inner_product(a, b)
+            assert type(value) is Fraction and value == (a is b)
+
+
+def test_norm_check_survives_optimized_mode():
+    # asserts vanish under -O; the norm check must raise all the same
+    code = textwrap.dedent(
+        """
+        from wreathdec import oracle
+        if __debug__:
+            raise SystemExit("not running under -O")
+        oracle.inner_product = lambda a, b: 2
+        try:
+            oracle.parametrized_character(oracle.wreath_group(3, 2, "G"), ((1,), (1,), ()))
+        except RuntimeError as exc:
+            print(exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "does not have norm 1" in proc.stdout
+
+
+def test_group_of_48000_elements_has_its_65_classes():
+    g = wreath_group(5, 3, "G")
+    assert g.order == len(g.elements) == 48000
+    assert sorted(g.class_labels) == sorted(generate_multipartitions(3, 5))
+    assert sum(g.class_sizes) == g.order
+
+
+def test_verify_suite_at_p7_weight_two():
+    claims = verify_suite(7, 2)
+    assert len(claims) == 163
+    all_pass(claims)

@@ -1,0 +1,143 @@
+"""The oracle's class finder and induction against a frozen reference.
+
+The reference below is the original formulation, kept here on purpose: each
+class is found by conjugating its representative by every group element,
+which also gives one conjugation row per class, and induction averages the
+subgroup character over each whole row.  The oracle now closes orbits
+under a generating set and induces by class sums, so the two must agree
+exactly.
+"""
+
+from fractions import Fraction
+from functools import reduce
+from math import factorial
+
+import pytest
+
+from wreathdec.cyclotomic import Cyclotomic
+from wreathdec.oracle import (
+    WreathGroup,
+    _block_chi0,
+    _theta_on_embedded_h,
+    base_group,
+    group_order,
+    induce,
+    perm_cycles,
+    wreath_group,
+)
+from wreathdec.partitions import generate_multipartitions, generate_partitions
+
+CASES = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+def frozen_class_label(group, elem):
+    f, sigma = elem
+    cycles, _ = perm_cycles(sigma)
+    parts = [[] for _ in group.base.class_reps]
+    for cyc in cycles:
+        prod = reduce(group.base.mult, (f[i] for i in cyc))
+        parts[group.base.class_of[prod]].append(len(cyc))
+    return tuple(tuple(sorted(ps, reverse=True)) for ps in parts)
+
+
+def frozen_classes(group):
+    """Full conjugation: (reps, sizes, labels, class_of_index, rows)."""
+    labels = [frozen_class_label(group, e) for e in group.elements]
+    invs = [group.inv(e) for e in group.elements]
+    assigned = [-1] * len(group.elements)
+    reps, sizes, rows = [], [], []
+    for i, g in enumerate(group.elements):
+        if assigned[i] >= 0:
+            continue
+        row = [
+            group.index[group.mult(group.mult(x, g), xi)]
+            for x, xi in zip(group.elements, invs)
+        ]
+        members = set(row)
+        for j in members:
+            assigned[j] = len(reps)
+        reps.append(g)
+        sizes.append(len(members))
+        rows.append(row)
+    class_labels = tuple(labels[group.index[rep]] for rep in reps)
+    return tuple(reps), tuple(sizes), class_labels, tuple(assigned), rows
+
+
+def frozen_induce(group, rows, chi0, subgroup_order):
+    cached = [chi0(e) for e in group.elements]
+    values = []
+    for row in rows:
+        acc = Cyclotomic(group.base.value_order)
+        for xi in row:
+            if cached[xi] is not None:
+                acc = acc + cached[xi]
+        values.append(acc * Fraction(1, subgroup_order))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("kind", ["G", "H"])
+@pytest.mark.parametrize("p,w", CASES)
+def test_classes_match_full_conjugation(p, w, kind):
+    group = wreath_group(p, w, kind)
+    reps, sizes, labels, class_of_index, _ = frozen_classes(group)
+    assert group.class_reps == reps
+    assert group.class_sizes == sizes
+    assert group.class_labels == labels
+    assert group.class_of_index == class_of_index
+
+
+def multi_block_characters(group):
+    """(chi0, subgroup order) of every label with two or more nonempty
+    slots, built as `parametrized_character` builds them."""
+    for label in generate_multipartitions(group.w, len(group.base.irr)):
+        blocks, start = [], 0
+        for slot, lam in enumerate(label):
+            if lam:
+                blocks.append((start, sum(lam), group.base.irr[slot], lam))
+                start += sum(lam)
+        if len(blocks) >= 2:
+            order = len(group.base.elements) ** group.w
+            for _, size, _, _ in blocks:
+                order *= factorial(size)
+            yield _block_chi0(group, blocks), order
+
+
+def mackey_characters(p, k):
+    """(chi0, subgroup order) of every induction `verify_mackey_multiplicities`
+    makes on the big wreath product on k letters."""
+    pair = base_group(p)
+    gw = wreath_group(p, k, "G")
+    psi_r = pair.G.irr[pair.r - 1]
+    for i in pair.islots:
+        psi_i = pair.G.irr[i - 1]
+        for alpha in generate_partitions(k):
+            theta = _theta_on_embedded_h(pair, i)
+            yield _block_chi0(gw, [(0, k, theta, alpha)]), group_order(p, k, "H")
+        for j in range(1, k):
+            order = len(pair.G.elements) ** k * factorial(j) * factorial(k - j)
+            for beta in generate_partitions(j):
+                for gamma in generate_partitions(k - j):
+                    blocks = [(0, j, psi_r, beta), (j, k - j, psi_i, gamma)]
+                    yield _block_chi0(gw, blocks), order
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_class_sum_induction_matches_whole_group_average(p):
+    groups = [wreath_group(p, 2, kind) for kind in ("G", "H")]
+    cases = [(g, c) for g in groups for c in multi_block_characters(g)]
+    cases += [(groups[0], c) for c in mackey_characters(p, 2)]
+    rows = {id(g): frozen_classes(g)[4] for g in groups}
+    assert len(cases) == {3: 10, 5: 28}[p]
+    for group, (chi0, order) in cases:
+        got = induce(group, chi0, order).values
+        assert got == frozen_induce(group, rows[id(group)], chi0, order)
+
+
+@pytest.mark.parametrize("kind", ["G", "H"])
+def test_every_generator_is_needed_for_the_orbit_check(kind):
+    group = WreathGroup(getattr(base_group(3), kind), 3)
+    gens = group._generators()
+    assert len(gens) == len(group.base.generators) + 2
+    for dropped in range(len(gens)):
+        with pytest.raises(RuntimeError, match="disagree"):
+            group._build_classes(gens[:dropped] + gens[dropped + 1 :])
