@@ -20,6 +20,7 @@ from . import decomp, oracle
 from .partitions import (
     format_multipartition,
     format_partition,
+    generate_partitions,
     is_odd_prime,
     p_core_and_quotient,
 )
@@ -103,14 +104,18 @@ def cmd_gram(args) -> int:
 
 
 def _block_records(n: int, p: int):
+    """(lam, core, weight, basic) for every partition of n, grouped by block
+    in the order of decomp.block_partition, one abacus per partition."""
     mid = decomp.r_slot(p)
-    blocks = decomp.block_partition(n, p)
-    records = []
-    for (core, weight), members in blocks.items():
-        for lam in members:
-            basic = not p_core_and_quotient(lam, p).quotient[mid]
-            records.append((lam, core, weight, basic))
-    return records
+    blocks: dict = {}
+    for lam in generate_partitions(n):
+        core, quotient, weight = p_core_and_quotient(lam, p)
+        blocks.setdefault((core, weight), []).append((lam, not quotient[mid]))
+    return [
+        (lam, core, weight, basic)
+        for (core, weight), members in blocks.items()
+        for lam, basic in members
+    ]
 
 
 def cmd_basicset(args) -> int:
@@ -236,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=True, help="partition size")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     sp = sub.add_parser("kmatrix", help="decomposition coefficient matrix")
     common(sp, with_w=True)
@@ -256,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the brute-force verification suites")
     common(sp, with_w=True)
+    sp.add_argument("--quiet", action="store_true", help="suppress progress lines")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -13,6 +13,7 @@ is ever constructed.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import factorial
 
@@ -101,6 +102,14 @@ class _Engine:
         return row.get((tuple(gamma_i[s] for s in slots), gamma_r), 0)
 
 
+@cache
+def _engine(p: int) -> _Engine:
+    """The engine shared by the per-label queries of one p, so a loop over
+    labels computes each orbit key's row once.  Matrix builds use a fresh
+    engine, which frees its rows when the build returns."""
+    return _Engine(p)
+
+
 def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
     """Multiplicity of the G-irreducible gamma in the induced H-irreducible alpha.
 
@@ -114,18 +123,18 @@ def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
         raise ValueError(f"label lengths {len(alpha)}, {len(gamma)} do not fit p={p}")
     if sum(map(sum, alpha)) != sum(map(sum, gamma)):
         raise ValueError("labels have different weights")
-    return _Engine(p).coefficient(alpha, gamma)
+    return _engine(p).coefficient(alpha, gamma)
 
 
 def induce_H_to_G(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All G-labels appearing in the induction of alpha, with multiplicities."""
-    return _Engine(p).induce(alpha)
+    return _engine(p).induce(alpha)
 
 
 def restrict_G_to_H(gamma: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All H-labels appearing in the restriction of gamma, with multiplicities,
     ordered by the component sizes of alpha, ascending, then as in hlabels."""
-    engine = _Engine(p)
+    engine = _engine(p)
     if len(gamma) != p:
         raise ValueError(f"expected {p} components, got {len(gamma)}")
     terms = [

@@ -184,6 +184,13 @@ def perm_cycles(sigma: tuple[int, ...]):
     return tuple(cycles), ctype
 
 
+def _cycle_products(base: BaseGroup, f, sigma) -> list:
+    """One base-group element per cycle of sigma, each the product of the
+    coordinates of f along the cycle in product order."""
+    cycles, _ = perm_cycles(sigma)
+    return [reduce(base.mult, (f[i] for i in cyc)) for cyc in cycles]
+
+
 class ClassData(NamedTuple):
     label: MultiPartition
     representative: tuple
@@ -224,11 +231,8 @@ class WreathGroup:
         return (tuple(bi(f[s[j]]) for j in range(self.w)), _inv_perm(s))
 
     def cycle_products(self, elem) -> list:
-        """One base-group element per cycle of the permutation part, each the
-        product of the coordinates along the cycle in product order."""
-        f, sigma = elem
-        cycles, _ = perm_cycles(sigma)
-        return [reduce(self.base.mult, (f[i] for i in cyc)) for cyc in cycles]
+        """One base-group element per cycle of the permutation part."""
+        return _cycle_products(self.base, *elem)
 
     def class_label(self, elem) -> MultiPartition:
         """Cycle structure: one partition per base class, collecting the
@@ -302,6 +306,8 @@ def wreath_group(
     (default 10^6)."""
     if kind not in ("G", "H"):
         raise ValueError("kind must be 'G' or 'H'")
+    if w < 0:
+        raise ValueError(f"w must be nonnegative, got {w}")
     base_group(p)  # validates p
     order = group_order(p, w, kind)
     limit = DEFAULT_GUARD if guard is None else guard
@@ -359,12 +365,10 @@ def _tilde_value(base: BaseGroup, base_values, lam: Partition, f, sigma):
     for x in f:
         if x not in base_values:
             return None
-    cycles, ctype = perm_cycles(sigma)
     val = 1
-    for cyc in cycles:
-        prod = reduce(base.mult, (f[i] for i in cyc))
+    for prod in _cycle_products(base, f, sigma):
         val = val * base_values[prod]
-    return val * mn_value(lam, ctype)
+    return val * mn_value(lam, perm_cycles(sigma)[1])
 
 
 def _block_chi0(group: WreathGroup, blocks):
@@ -403,20 +407,12 @@ def induce(group: WreathGroup, chi0, subgroup_order: int) -> ClassFunction:
     return ClassFunction(group, values)
 
 
-def tilde_character(group: WreathGroup, base_values, lam: Partition) -> ClassFunction:
-    """The full-width extension character (base table defined on the whole
-    base group), evaluated directly on class representatives."""
-    return ClassFunction(
-        group,
-        [_tilde_value(group.base, base_values, lam, f, s) for f, s in group.class_reps],
-    )
-
-
 def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFunction:
     """Irreducible character attached to a tuple of partitions, one per base
     character slot: the block-wise extension tensored with symmetric-group
-    characters, induced up from the block-product subgroup.  The result has
-    norm exactly 1."""
+    characters, induced up from the block-product subgroup; a single block is
+    the full-width extension, evaluated directly on class representatives.
+    The result has norm exactly 1."""
     if label in group._char_cache:
         return group._char_cache[label]
     if len(label) != len(group.base.irr):
@@ -430,11 +426,13 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
         if size:
             blocks.append((start, size, group.base.irr[slot], lam))
             start += size
-    if len(blocks) <= 1:
-        if not blocks:
-            chi = ClassFunction(group, [1] * len(group.class_reps))
-        else:
-            chi = tilde_character(group, blocks[0][2], blocks[0][3])
+    if not blocks:
+        chi = ClassFunction(group, [1] * len(group.class_reps))
+    elif len(blocks) == 1:
+        _, _, table, lam = blocks[0]
+        chi = ClassFunction(
+            group, [_tilde_value(group.base, table, lam, f, s) for f, s in group.class_reps]
+        )
     else:
         sub_order = len(group.base.elements) ** group.w
         for _, size, _, _ in blocks:
@@ -482,11 +480,25 @@ def oracle_restriction(
     return out
 
 
-def _theta_on_embedded_h(pair: BasePair, i: int):
-    """Value table of the i-th linear complement character on the embedded
-    complement, as a partial table on the big base group."""
-    slot = pair.islots.index(i)
-    return {(0, b): v for b, v in pair.H.irr[slot].items()}
+def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
+    """Induction of (i-th linear extension) x (alpha) from the small wreath
+    product, embedded coordinate-wise, up to the big one on the same letters.
+    The i-th linear complement character is a partial table on the big base
+    group, defined on the embedded complement only."""
+    theta = {(0, b): v for b, v in pair.H.irr[pair.islots.index(i)].items()}
+    chi0 = _block_chi0(gw, [(0, gw.w, theta, alpha)])
+    return induce(gw, chi0, group_order(pair.p, gw.w, "H"))
+
+
+def _split_label(pair: BasePair, i: int, beta: Partition, gamma: Partition):
+    """The G-label with beta in the heavy slot r and gamma in the linear slot
+    i, all other slots empty.  Its irreducible is the induction from the
+    block subgroup of (degree-(p-1) extension) x (beta) boxed with (i-th
+    linear extension) x (gamma)."""
+    label = [()] * pair.p
+    label[pair.r - 1] = beta
+    label[i - 1] = gamma
+    return tuple(label)
 
 
 def verify_mackey_multiplicities(
@@ -499,11 +511,10 @@ def verify_mackey_multiplicities(
     k: int,
     guard: Optional[int] = None,
 ) -> int:
-    """Inner product of two explicitly induced characters of the big wreath
-    product on k letters: the induction of (i-th linear extension) x (alpha)
-    from the small wreath product, against the induction from the block
-    subgroup of (degree-(p-1) extension) x (beta) boxed with (i-th linear
-    extension) x (gamma).  Equals the Littlewood-Richardson number
+    """Inner product, on the big wreath product on k letters, of the
+    induction of (i-th linear extension) x (alpha) from the small wreath
+    product against the irreducible of the split label: beta in the heavy
+    slot r, gamma in slot i.  Equals the Littlewood-Richardson number
     c^alpha_{beta,gamma}."""
     pair = base_group(p)
     if i not in pair.islots:
@@ -511,25 +522,8 @@ def verify_mackey_multiplicities(
     if not 0 <= j <= k or sum(beta) != j or sum(gamma) != k - j or sum(alpha) != k:
         raise ValueError("sizes must satisfy |beta| = j, |gamma| = k - j, |alpha| = k")
     gw = wreath_group(p, k, "G", guard)
-    lhs = induce(
-        gw,
-        _block_chi0(gw, [(0, k, _theta_on_embedded_h(pair, i), alpha)]),
-        group_order(p, k, "H"),
-    )
-    psi_r = pair.G.irr[pair.r - 1]
-    psi_i = pair.G.irr[i - 1]
-    if j == 0:
-        rhs = tilde_character(gw, psi_i, gamma)
-    elif j == k:
-        rhs = tilde_character(gw, psi_r, beta)
-    else:
-        sub_order = len(pair.G.elements) ** k * factorial(j) * factorial(k - j)
-        rhs = induce(
-            gw,
-            _block_chi0(gw, [(0, j, psi_r, beta), (j, k - j, psi_i, gamma)]),
-            sub_order,
-        )
-    return _as_multiplicity(inner_product(lhs, rhs))
+    rhs = parametrized_character(gw, _split_label(pair, i, beta, gamma))
+    return _as_multiplicity(inner_product(_linear_induced(gw, pair, i, alpha), rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -729,41 +723,44 @@ def mackey_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResu
     gw = wreath_group(p, k, "G", guard)
     hw = wreath_group(p, k, "H", guard)
     out = []
-    psi_r_tilde = tilde_character(gw, pair.G.irr[pair.r - 1], (k,) if k else ())
-    res_r = restrict_to_h(gw, hw, psi_r_tilde)
+
+    def heavy(beta):  # psi_r~ x beta, restricted to the small wreath product
+        label = tuple(beta if s == pair.r else () for s in range(1, p + 1))
+        return restrict_to_h(gw, hw, parametrized_character(gw, label))
+
+    def theta(i, alpha):  # theta_i~ x alpha on the small wreath product
+        return parametrized_character(hw, tuple(alpha if s == i else () for s in pair.islots))
+
+    trivial = (k,) if k else ()
+    res_r = heavy(trivial)
     for i in pair.islots:
-        slot = pair.islots.index(i)
-        theta_tilde = tilde_character(hw, pair.H.irr[slot], (k,) if k else ())
         out.append(
             _claim(
                 "heavy_restriction_contains_each_linear_once",
                 {"p": p, "k": k, "i": i},
                 1,
-                _as_multiplicity(inner_product(res_r, theta_tilde)),
+                _as_multiplicity(inner_product(res_r, theta(i, trivial))),
             )
         )
     for beta in generate_partitions(k):
-        lhs = restrict_to_h(gw, hw, tilde_character(gw, pair.G.irr[pair.r - 1], beta))
+        lhs = heavy(beta)
         for i in pair.islots:
-            slot = pair.islots.index(i)
             for alpha in generate_partitions(k):
-                rhs = tilde_character(hw, pair.H.irr[slot], alpha)
                 out.append(
                     _claim(
                         "heavy_tensor_restriction_multiplicity",
                         {"p": p, "k": k, "i": i, "alpha": alpha, "beta": beta},
                         1 if alpha == beta else 0,
-                        _as_multiplicity(inner_product(lhs, rhs)),
+                        _as_multiplicity(inner_product(lhs, theta(i, alpha))),
                     )
                 )
     for i in pair.islots:
+        induced = {a: _linear_induced(gw, pair, i, a) for a in generate_partitions(k)}
         for j in range(k + 1):
             for alpha in generate_partitions(k):
                 for beta in generate_partitions(j):
                     for gamma in generate_partitions(k - j):
-                        got = verify_mackey_multiplicities(
-                            i, j, alpha, beta, gamma, p, k, guard
-                        )
+                        rhs = parametrized_character(gw, _split_label(pair, i, beta, gamma))
                         out.append(
                             _claim(
                                 "double_induction_multiplicity_is_lr",
@@ -777,59 +774,34 @@ def mackey_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResu
                                     "gamma": gamma,
                                 },
                                 lr_coefficient(alpha, beta, gamma),
-                                got,
+                                _as_multiplicity(inner_product(induced[alpha], rhs)),
                             )
                         )
     return out
 
 
 def reconstruction_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResult]:
-    """The induced linear-extension characters decompose as the LR-weighted
-    sum of block inductions, as class functions."""
+    """The induced linear-extension characters decompose, as class functions,
+    as the LR-weighted sum of the irreducibles of the split labels."""
     pair = base_group(p)
     gw = wreath_group(p, k, "G", guard)
     out = []
-    psi_r = pair.G.irr[pair.r - 1]
-    m = p - 1
     for i in pair.islots:
-        theta_table = _theta_on_embedded_h(pair, i)
-        psi_i = pair.G.irr[i - 1]
         for alpha in generate_partitions(k):
-            lhs = induce(
-                gw,
-                _block_chi0(gw, [(0, k, theta_table, alpha)]),
-                group_order(p, k, "H"),
-            )
-            rhs_vals = [Cyclotomic(m)] * len(gw.class_reps)
+            rhs_vals = [Cyclotomic(p - 1)] * len(gw.class_reps)
             for j in range(k + 1):
                 for beta in generate_partitions(j):
                     for gamma in generate_partitions(k - j):
                         c = lr_coefficient(alpha, beta, gamma)
-                        if not c:
-                            continue
-                        if j == 0:
-                            term = tilde_character(gw, psi_i, gamma)
-                        elif j == k:
-                            term = tilde_character(gw, psi_r, beta)
-                        else:
-                            sub = (
-                                len(pair.G.elements) ** k
-                                * factorial(j)
-                                * factorial(k - j)
-                            )
-                            term = induce(
-                                gw,
-                                _block_chi0(
-                                    gw, [(0, j, psi_r, beta), (j, k - j, psi_i, gamma)]
-                                ),
-                                sub,
-                            )
-                        rhs_vals = [a + v * c for a, v in zip(rhs_vals, term.values)]
+                        if c:
+                            label = _split_label(pair, i, beta, gamma)
+                            term = parametrized_character(gw, label).values
+                            rhs_vals = [a + v * c for a, v in zip(rhs_vals, term)]
             out.append(
                 _claim(
                     "induced_linear_extension_reconstruction",
                     {"p": p, "k": k, "i": i, "alpha": alpha},
-                    tuple(lhs.values),
+                    tuple(_linear_induced(gw, pair, i, alpha).values),
                     tuple(rhs_vals),
                 )
             )

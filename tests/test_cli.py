@@ -222,3 +222,13 @@ def test_bad_guard_env_is_an_error(value):
 
 def test_verify_rejects_negative_weight():
     assert "w must be nonnegative" in run_failing("verify", "--p", "3", "--w", "-1")
+
+
+@pytest.mark.parametrize("command,size", [
+    ("kmatrix", "--w"), ("gram", "--w"), ("basicset", "--n"), ("blocks", "--n"),
+])
+def test_quiet_is_a_usage_error_outside_verify(command, size, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "3", size, "1", "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quiet" in capsys.readouterr().err

@@ -191,6 +191,14 @@ def test_mackey_validates_arguments():
         verify_mackey_multiplicities(1, 3, (2,), (1,), (1,), 3, 2)
 
 
+def test_negative_weight_is_rejected_before_any_work():
+    for kind in ("G", "H"):
+        with pytest.raises(ValueError, match="w must be nonnegative, got -1"):
+            wreath_group(3, -1, kind)
+    with pytest.raises(ValueError, match="w must be nonnegative, got -2"):
+        verify_suite(3, -2)
+
+
 def test_inner_product_requires_same_group():
     g1 = wreath_group(3, 1, "G")
     h1 = wreath_group(3, 1, "H")

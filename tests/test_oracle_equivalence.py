@@ -6,6 +6,11 @@ which also gives one conjugation row per class, and induction averages the
 subgroup character over each whole row.  The oracle now closes orbits
 under a generating set and induces by class sums, so the two must agree
 exactly.
+
+The Mackey claims once induced their right-hand sides block by block, the
+heavy block (slot r) first; they now read the irreducible of the split
+label from `parametrized_character`, which orders blocks by slot.  The
+frozen two-block inductions pin that label's slots.
 """
 
 from fractions import Fraction
@@ -18,11 +23,14 @@ from wreathdec.cyclotomic import Cyclotomic
 from wreathdec.oracle import (
     WreathGroup,
     _block_chi0,
-    _theta_on_embedded_h,
+    _split_label,
     base_group,
     group_order,
     induce,
+    inner_product,
+    parametrized_character,
     perm_cycles,
+    verify_mackey_multiplicities,
     wreath_group,
 )
 from wreathdec.partitions import generate_multipartitions, generate_partitions
@@ -102,23 +110,42 @@ def multi_block_characters(group):
             yield _block_chi0(group, blocks), order
 
 
-def mackey_characters(p, k):
-    """(chi0, subgroup order) of every induction `verify_mackey_multiplicities`
-    makes on the big wreath product on k letters."""
+def linear_induction(p, k, i, alpha):
+    """(chi0, subgroup order) of the induction of (i-th linear extension) x
+    (alpha) from the small wreath product on k letters."""
+    pair = base_group(p)
+    theta = {(0, b): v for b, v in pair.H.irr[pair.islots.index(i)].items()}
+    return _block_chi0(wreath_group(p, k, "G"), [(0, k, theta, alpha)]), group_order(p, k, "H")
+
+
+def split_blocks(p, k, j_range=None):
+    """(i, j, beta, gamma, chi0, subgroup order) of the block induction of
+    (degree-(p-1) extension) x (beta) boxed with (i-th linear extension) x
+    (gamma) on the big wreath product on k letters, the heavy block first,
+    for 0 < j = |beta| < k unless `j_range` says otherwise."""
     pair = base_group(p)
     gw = wreath_group(p, k, "G")
     psi_r = pair.G.irr[pair.r - 1]
     for i in pair.islots:
         psi_i = pair.G.irr[i - 1]
-        for alpha in generate_partitions(k):
-            theta = _theta_on_embedded_h(pair, i)
-            yield _block_chi0(gw, [(0, k, theta, alpha)]), group_order(p, k, "H")
-        for j in range(1, k):
+        for j in j_range or range(1, k):
             order = len(pair.G.elements) ** k * factorial(j) * factorial(k - j)
             for beta in generate_partitions(j):
                 for gamma in generate_partitions(k - j):
                     blocks = [(0, j, psi_r, beta), (j, k - j, psi_i, gamma)]
-                    yield _block_chi0(gw, blocks), order
+                    blocks = [b for b in blocks if b[1]]
+                    yield i, j, beta, gamma, _block_chi0(gw, blocks), order
+
+
+def mackey_characters(p, k):
+    """(chi0, subgroup order) of every induction `verify_mackey_multiplicities`
+    made on the big wreath product on k letters before it read its right
+    side from `parametrized_character`."""
+    for i in base_group(p).islots:
+        for alpha in generate_partitions(k):
+            yield linear_induction(p, k, i, alpha)
+    for *_, chi0, order in split_blocks(p, k):
+        yield chi0, order
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -141,3 +168,29 @@ def test_every_generator_is_needed_for_the_orbit_check(kind):
     for dropped in range(len(gens)):
         with pytest.raises(RuntimeError, match="disagree"):
             group._build_classes(gens[:dropped] + gens[dropped + 1 :])
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2)])
+def test_split_label_is_the_frozen_two_block_induction(p, k):
+    pair = base_group(p)
+    gw = wreath_group(p, k, "G")
+    cases = list(split_blocks(p, k))
+    assert {i < pair.r for i, *_ in cases} == {True, False}
+    for i, _, beta, gamma, chi0, order in cases:
+        got = parametrized_character(gw, _split_label(pair, i, beta, gamma)).values
+        assert got == induce(gw, chi0, order).values, (i, beta, gamma)
+
+
+def test_mackey_multiplicities_match_the_frozen_block_inductions():
+    p, k = 3, 2
+    gw = wreath_group(p, k, "G")
+    count = 0
+    for i, j, beta, gamma, chi0, order in split_blocks(p, k, range(k + 1)):
+        rhs = induce(gw, chi0, order)
+        for alpha in generate_partitions(k):
+            lhs = induce(gw, *linear_induction(p, k, i, alpha))
+            expected = inner_product(lhs, rhs)
+            got = verify_mackey_multiplicities(i, j, alpha, beta, gamma, p, k)
+            assert got == expected, (i, j, alpha, beta, gamma)
+            count += 1
+    assert count == 2 * 2 * (2 + 1 + 2)
