@@ -4,7 +4,8 @@ Subcommands compute decomposition matrices, Gram matrices, basic sets and
 block partitions, or run the brute-force verification suites.  Output is
 JSON (canonical) or CSV, deterministic byte-for-byte for a fixed
 configuration.  The environment variable WREATH_GUARD_ELEMS overrides the
-oracle's element guard (verification may be slow above the default).
+oracle's element guard (verification may be slow above the default).  Exit
+codes: 0 on success, 1 when a verify claim fails, 2 on a usage or guard error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import sys
+from math import comb
 
 from . import decomp, oracle
 from .partitions import (
@@ -27,11 +29,19 @@ from .partitions import (
 
 BLOCKS_GUARD = 40
 KMATRIX_GUARD = 6
+KMATRIX_LABEL_GUARD = 250_000
+GRAM_LABEL_GUARD = 30_000
+
+
+def _fail(message: str):
+    """Usage and guard errors: one `error:` line on stderr, exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise SystemExit(f"error: {message}")
+        _fail(message)
 
 
 def _guard_from_env() -> int | None:
@@ -49,7 +59,7 @@ def _emit(args, text: str) -> None:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit(f"error: cannot write {args.out}: {exc.strerror}") from None
+            _fail(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -66,9 +76,24 @@ def _json_text(payload) -> str:
     return json.dumps(payload, separators=(",", ":"), default=str) + "\n"
 
 
-def _require_label_args(args) -> None:
+def _glabel_count(p: int, w: int) -> int:
+    """Number of G-labels, p-tuples of partitions of total size w, without
+    enumerating them: sum over k of C(p, k) times the number of k-tuples of
+    nonempty partitions of total size w, convolved once per nonempty slot."""
+    parts = [0] + [len(generate_partitions(n)) for n in range(1, w + 1)]
+    tuples, count = [1] + [0] * w, 0
+    for k in range(w + 1):
+        count += comb(p, k) * tuples[w]
+        tuples = [sum(tuples[i] * parts[n - i] for i in range(n)) for n in range(w + 1)]
+    return count
+
+
+def _require_label_args(args, label_guard: int) -> None:
     _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
     _require(0 <= args.w <= KMATRIX_GUARD, f"w must be in 0..{KMATRIX_GUARD}")
+    count = _glabel_count(args.p, args.w)
+    _require(count <= label_guard,
+             f"p={args.p}, w={args.w} has {count} G-labels, beyond the guard of {label_guard}")
 
 
 def _emit_matrix(args, rows, cols, entries, **extra) -> int:
@@ -88,14 +113,14 @@ def _emit_matrix(args, rows, cols, entries, **extra) -> int:
 
 
 def cmd_kmatrix(args) -> int:
-    _require_label_args(args)
+    _require_label_args(args, KMATRIX_LABEL_GUARD)
     rows = [format_multipartition(a) for a in decomp.hlabels(args.p, args.w)]
     cols = [format_multipartition(g) for g in decomp.glabels(args.p, args.w)]
     return _emit_matrix(args, rows, cols, decomp.k_entries(args.p, args.w))
 
 
 def cmd_gram(args) -> int:
-    _require_label_args(args)
+    _require_label_args(args, GRAM_LABEL_GUARD)
     labels = [format_multipartition(g) for g in decomp.glabels(args.p, args.w)]
     return _emit_matrix(
         args, labels, labels, decomp.gram_entries(args.p, args.w),
@@ -272,7 +297,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except oracle.GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from . import sn_char
 from .lr import restriction_expansion, schur_product
@@ -44,10 +46,14 @@ def hlabels(p: int, w: int) -> tuple[MultiPartition, ...]:
     return generate_multipartitions(w, p - 1)
 
 
-def _key_row(key: tuple[Partition, ...]) -> dict:
-    """Induction row {(gamma^i in key order, gamma^r): k} of an orbit key, the
-    sorted nonempty components of an H-label.  Each split of every component a
-    adds prod c^a_{beta, gamma^i} times the Schur product of the betas."""
+@cache
+def _key_row(key: tuple[Partition, ...]) -> Mapping:
+    """Read-only induction row {(gamma^i in key order, gamma^r): k} of an orbit
+    key, the sorted nonempty components of an H-label.  Each split of every
+    component a adds prod c^a_{beta, gamma^i} times the Schur product of the
+    betas.  Empty slots are inert and permuting the non-r slots of alpha and
+    gamma together leaves k unchanged, so the row does not depend on p: each
+    key's row is computed once per process and shared by every p."""
     slot_splits = [
         [t for j in range(sum(a) + 1) for t in restriction_expansion(a, j)]
         for a in key
@@ -60,54 +66,24 @@ def _key_row(key: tuple[Partition, ...]) -> dict:
         gammas = tuple(g for _, g, _ in combo)
         for gamma_r, cr in schur_product(b for b, _, _ in combo).items():
             row[gammas, gamma_r] = row.get((gammas, gamma_r), 0) + coeff * cr
-    return row
+    return MappingProxyType(row)
 
 
-class _Engine:
-    """Induction rows of the H-labels of one p.  Empty slots are inert and
-    permuting the p-1 non-r slots of alpha and gamma together leaves k
-    unchanged, so each orbit key's row is computed once per engine and
-    scattered back through the slot permutation."""
-
-    def __init__(self, p: int):
-        _require_odd_prime(p)
-        self.p, self.mid = p, r_slot(p)
-        self._rows: dict = {}
-
-    def _orbit(self, alpha: MultiPartition):
-        if len(alpha) != self.p - 1:
-            raise ValueError(f"expected {self.p - 1} components, got {len(alpha)}")
-        slots = sorted((s for s, a in enumerate(alpha) if a), key=alpha.__getitem__)
-        key = tuple(alpha[s] for s in slots)
-        if key not in self._rows:
-            self._rows[key] = _key_row(key)
-        return slots, self._rows[key]
-
-    def induce(self, alpha: MultiPartition) -> dict[MultiPartition, int]:
-        slots, row = self._orbit(alpha)
-        result = {}
-        for (gammas, gamma_r), k in row.items():
-            gamma = [()] * (self.p - 1)
-            for s, g in zip(slots, gammas):
-                gamma[s] = g
-            gamma.insert(self.mid, gamma_r)
-            result[tuple(gamma)] = k
-        return result
-
-    def coefficient(self, alpha: MultiPartition, gamma: MultiPartition) -> int:
-        gamma_i, gamma_r = gamma[: self.mid] + gamma[self.mid + 1 :], gamma[self.mid]
-        if any(g and not a for a, g in zip(alpha, gamma_i)):
-            return 0  # shortcut: the key row has no entry for such a gamma
-        slots, row = self._orbit(alpha)
-        return row.get((tuple(gamma_i[s] for s in slots), gamma_r), 0)
+def _orbit(alpha: MultiPartition, p: int):
+    """The nonempty slots of alpha sorted by component, and its key's row."""
+    if len(alpha) != p - 1:
+        raise ValueError(f"expected {p - 1} components, got {len(alpha)}")
+    slots = sorted((s for s, a in enumerate(alpha) if a), key=alpha.__getitem__)
+    return slots, _key_row(tuple(alpha[s] for s in slots))
 
 
-@cache
-def _engine(p: int) -> _Engine:
-    """The engine shared by the per-label queries of one p, so a loop over
-    labels computes each orbit key's row once.  Matrix builds use a fresh
-    engine, which frees its rows when the build returns."""
-    return _Engine(p)
+def _coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
+    mid = r_slot(p)
+    gamma_i, gamma_r = gamma[:mid] + gamma[mid + 1 :], gamma[mid]
+    if any(g and not a for a, g in zip(alpha, gamma_i)):
+        return 0  # shortcut: the key row has no entry for such a gamma
+    slots, row = _orbit(alpha, p)
+    return row.get((tuple(gamma_i[s] for s in slots), gamma_r), 0)
 
 
 def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
@@ -123,24 +99,35 @@ def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
         raise ValueError(f"label lengths {len(alpha)}, {len(gamma)} do not fit p={p}")
     if sum(map(sum, alpha)) != sum(map(sum, gamma)):
         raise ValueError("labels have different weights")
-    return _engine(p).coefficient(alpha, gamma)
+    return _coefficient(alpha, gamma, p)
 
 
 def induce_H_to_G(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
-    """All G-labels appearing in the induction of alpha, with multiplicities."""
-    return _engine(p).induce(alpha)
+    """All G-labels appearing in the induction of alpha, with multiplicities:
+    the row of alpha's orbit key, scattered back through its slot permutation."""
+    _require_odd_prime(p)
+    slots, row = _orbit(alpha, p)
+    mid = r_slot(p)
+    result = {}
+    for (gammas, gamma_r), k in row.items():
+        gamma = [()] * (p - 1)
+        for s, g in zip(slots, gammas):
+            gamma[s] = g
+        gamma.insert(mid, gamma_r)
+        result[tuple(gamma)] = k
+    return result
 
 
 def restrict_G_to_H(gamma: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All H-labels appearing in the restriction of gamma, with multiplicities,
     ordered by the component sizes of alpha, ascending, then as in hlabels."""
-    engine = _engine(p)
+    _require_odd_prime(p)
     if len(gamma) != p:
         raise ValueError(f"expected {p} components, got {len(gamma)}")
     terms = [
         (alpha, k)
         for alpha in hlabels(p, sum(map(sum, gamma)))
-        if (k := engine.coefficient(alpha, gamma))
+        if (k := _coefficient(alpha, gamma, p))
     ]
     terms.sort(key=lambda term: [sum(a) for a in term[0]])
     return dict(terms)
@@ -165,9 +152,8 @@ def degree_H(alpha: MultiPartition, p: int) -> int:
 def _k_rows(p: int, w: int):
     """Rows of k_matrix(p, w) as sorted (column, k) lists of the nonzero entries."""
     cols = {g: j for j, g in enumerate(glabels(p, w))}
-    engine = _Engine(p)
     for alpha in hlabels(p, w):
-        yield sorted((cols[gamma], k) for gamma, k in engine.induce(alpha).items())
+        yield sorted((cols[gamma], k) for gamma, k in induce_H_to_G(alpha, p).items())
 
 
 def k_entries(p: int, w: int) -> list[list[int]]:

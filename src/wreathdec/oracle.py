@@ -28,7 +28,7 @@ from .partitions import (
     generate_partitions,
     is_odd_prime,
 )
-from .sn_char import mn_value
+from .sn_char import centralizer_order, mn_value
 
 DEFAULT_GUARD = 10**6
 MAX_PRIME = 17
@@ -410,9 +410,9 @@ def induce(group: WreathGroup, chi0, subgroup_order: int) -> ClassFunction:
 def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFunction:
     """Irreducible character attached to a tuple of partitions, one per base
     character slot: the block-wise extension tensored with symmetric-group
-    characters, induced up from the block-product subgroup; a single block is
-    the full-width extension, evaluated directly on class representatives.
-    The result has norm exactly 1."""
+    characters, induced up from the block-product subgroup.  With at most one
+    block that subgroup is the whole group, so the block character is
+    evaluated directly on class representatives.  The result has norm 1."""
     if label in group._char_cache:
         return group._char_cache[label]
     if len(label) != len(group.base.irr):
@@ -426,13 +426,9 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
         if size:
             blocks.append((start, size, group.base.irr[slot], lam))
             start += size
-    if not blocks:
-        chi = ClassFunction(group, [1] * len(group.class_reps))
-    elif len(blocks) == 1:
-        _, _, table, lam = blocks[0]
-        chi = ClassFunction(
-            group, [_tilde_value(group.base, table, lam, f, s) for f, s in group.class_reps]
-        )
+    if len(blocks) <= 1:
+        chi0 = _block_chi0(group, blocks)
+        chi = ClassFunction(group, [chi0(rep) for rep in group.class_reps])
     else:
         sub_order = len(group.base.elements) ** group.w
         for _, size, _, _ in blocks:
@@ -480,11 +476,13 @@ def oracle_restriction(
     return out
 
 
+@cache
 def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
     """Induction of (i-th linear extension) x (alpha) from the small wreath
     product, embedded coordinate-wise, up to the big one on the same letters.
     The i-th linear complement character is a partial table on the big base
-    group, defined on the embedded complement only."""
+    group, defined on the embedded complement only.  Cached, so the Mackey
+    and reconstruction suites share each induction."""
     theta = {(0, b): v for b, v in pair.H.irr[pair.islots.index(i)].items()}
     chi0 = _block_chi0(gw, [(0, gw.w, theta, alpha)])
     return induce(gw, chi0, group_order(pair.p, gw.w, "H"))
@@ -619,11 +617,8 @@ def class_structure_claims(p: int, w: int, guard: Optional[int] = None) -> list[
         base_cent = [len(group.base.elements) // s for s in group.base.class_sizes]
         for label, size in zip(group.class_labels, group.class_sizes):
             cent = 1
-            for bi, part in enumerate(label):
-                mult = 1
-                for t, m in enumerate(part):
-                    mult = mult + 1 if t and part[t - 1] == m else 1
-                    cent *= m * base_cent[bi] * mult
+            for part, bc in zip(label, base_cent):
+                cent *= centralizer_order(part) * bc ** len(part)
             ok = ok and size == group.order // cent
         out.append(_claim("class_sizes_match_centralizer_formula", params, True, ok))
     return out
@@ -808,14 +803,9 @@ def reconstruction_claims(p: int, k: int, guard: Optional[int] = None) -> list[C
     return out
 
 
-def verify_suite(
-    p: int,
-    w: int,
-    guard: Optional[int] = None,
-    with_mackey: bool = True,
-    with_reconstruction: Optional[bool] = None,
-) -> list[ClaimResult]:
-    """All claims for the given parameters.  Groups that would exceed the
+def verify_suite(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResult]:
+    """All claims for the given parameters: the Mackey suite when w >= 1, the
+    reconstruction suite when 1 <= w <= 2.  Groups that would exceed the
     element guard produce 'skip' records instead of failures."""
     try:
         base_group(p)
@@ -831,10 +821,8 @@ def verify_suite(
     out += character_claims(p, w, guard)
     out += tilde_restriction_claims(p, w, guard)
     out += restriction_claims(p, w, guard)
-    if with_mackey and w >= 1:
+    if w >= 1:
         out += mackey_claims(p, w, guard)
-    if with_reconstruction is None:
-        with_reconstruction = w <= 2
-    if with_reconstruction and w >= 1:
+    if 1 <= w <= 2:
         out += reconstruction_claims(p, w, guard)
     return out

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from wreathdec import decomp
-from wreathdec.cli import main
+from wreathdec import decomp, oracle
+from wreathdec.cli import _glabel_count, main
 from wreathdec.partitions import (
     format_multipartition,
     parse_multipartition,
@@ -32,14 +32,14 @@ def run_json(capsys, *argv):
 
 def run_failing(*argv, **env):
     """Run the CLI as a user would and require one `error:` line, no output
-    and a nonzero exit."""
+    and the usage/guard exit code 2."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "wreathdec.cli", *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src, **env},
     )
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -190,6 +190,15 @@ def test_verify_skips_unsupported_p(capsys):
     assert payload["skipped"] >= 1 and payload["failed"] == 0
 
 
+def test_failing_claim_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(
+        oracle, "base_group_claims", lambda p: [oracle._claim("forced", {"p": p}, 1, 2)]
+    )
+    code, out = run_cli(capsys, "verify", "--p", "3", "--w", "0", "--quiet")
+    assert code == 1
+    assert json.loads(out)["failed"] == 1
+
+
 def test_verify_honors_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("WREATH_GUARD_ELEMS", "10")
     code, out = run_cli(capsys, "verify", "--p", "3", "--w", "2", "--quiet")
@@ -232,3 +241,17 @@ def test_quiet_is_a_usage_error_outside_verify(command, size, capsys):
         main([command, "--p", "3", size, "1", "--quiet"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --quiet" in capsys.readouterr().err
+
+
+def test_label_count_matches_enumeration():
+    for p, w_max in [(3, 6), (5, 5), (7, 4), (13, 3)]:
+        for w in range(w_max + 1):
+            assert _glabel_count(p, w) == len(decomp.glabels(p, w)), (p, w)
+
+
+@pytest.mark.parametrize("command,p,count", [
+    ("gram", "13", 60697), ("kmatrix", "101", 2216463281),
+])
+def test_label_guard_rejects_before_any_work(command, p, count):
+    line = run_failing(command, "--p", p, "--w", "6")
+    assert f"has {count} G-labels, beyond the guard" in line

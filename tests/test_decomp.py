@@ -15,6 +15,7 @@ from wreathdec.decomp import (
     hlabels,
     induce_H_to_G,
     k_coefficient,
+    k_entries,
     k_matrix,
     restrict_G_to_H,
 )
@@ -46,6 +47,24 @@ def test_k_coefficient_validates_labels():
         k_coefficient(((1,),), ((1,), (), ()), 3)
     with pytest.raises(ValueError):
         k_coefficient(((1,), ()), ((2,), (), ()), 3)
+    with pytest.raises(ValueError, match="p must be an odd prime, got 4"):
+        induce_H_to_G(((1,), (), ()), 4)
+    with pytest.raises(ValueError, match="expected 2 components, got 3"):
+        induce_H_to_G(((1,), (), ()), 3)
+    with pytest.raises(ValueError, match="expected 3 components, got 2"):
+        restrict_G_to_H(((1,), ()), 3)
+
+
+def test_key_rows_are_shared_by_every_p_and_read_only():
+    decomp._key_row.cache_clear()
+    k_entries(5, 3)
+    misses = decomp._key_row.cache_info().misses
+    assert misses == 6  # every multiset of nonempty partitions of total size 3
+    k_entries(3, 3)
+    assert decomp._key_row.cache_info().misses == misses
+    row = decomp._key_row(((1,),))
+    with pytest.raises(TypeError):
+        row[next(iter(row))] = 0
 
 
 def test_empty_special_slot_columns_are_unit():
