@@ -24,13 +24,13 @@ from .partitions import (
     format_partition,
     generate_partitions,
     is_odd_prime,
-    p_core_and_quotient,
 )
 
 BLOCKS_GUARD = 40
 KMATRIX_GUARD = 6
 KMATRIX_LABEL_GUARD = 250_000
 GRAM_LABEL_GUARD = 30_000
+LABEL_COMPONENT_GUARD = 26_000_000  # G-labels times p; measured in the README's Guards
 
 
 def _fail(message: str):
@@ -76,6 +76,16 @@ def _json_text(payload) -> str:
     return json.dumps(payload, separators=(",", ":"), default=str) + "\n"
 
 
+def _report(args, payload, header, rows) -> int:
+    """Write the JSON object payload() or the CSV header and rows(), as
+    --format asks; only the requested format is built."""
+    if args.format == "json":
+        _emit(args, _json_text(payload()))
+    else:
+        _emit(args, _csv_text(header, rows()))
+    return 0
+
+
 def _glabel_count(p: int, w: int) -> int:
     """Number of G-labels, p-tuples of partitions of total size w, without
     enumerating them: sum over k of C(p, k) times the number of k-tuples of
@@ -89,27 +99,29 @@ def _glabel_count(p: int, w: int) -> int:
 
 
 def _require_label_args(args, label_guard: int) -> None:
-    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
+    """The size guards run before the primality test, a trial division up to
+    sqrt(p); p >= 3 comes first, since comb() rejects a negative p."""
+    _require(args.p >= 3, f"p must be an odd prime, got {args.p}")
     _require(0 <= args.w <= KMATRIX_GUARD, f"w must be in 0..{KMATRIX_GUARD}")
     count = _glabel_count(args.p, args.w)
     _require(count <= label_guard,
              f"p={args.p}, w={args.w} has {count} G-labels, beyond the guard of {label_guard}")
+    _require(count * args.p <= LABEL_COMPONENT_GUARD,
+             f"p={args.p}, w={args.w} has {count * args.p} G-label components, "
+             f"beyond the guard of {LABEL_COMPONENT_GUARD}")
+    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
 
 
 def _emit_matrix(args, rows, cols, entries, **extra) -> int:
     """Sparse [row, col, value] entries as JSON, extra fields last, or as
     flattened CSV label triples."""
-    if args.format == "json":
-        _emit(args, _json_text(
-            {"p": args.p, "w": args.w, "rows": rows, "cols": cols, "entries": entries,
-             **extra}
-        ))
-    else:
-        _emit(args, _csv_text(
-            ["row_label", "col_label", "value"],
-            [[rows[i], cols[j], v] for i, j, v in entries],
-        ))
-    return 0
+    return _report(
+        args,
+        lambda: {"p": args.p, "w": args.w, "rows": rows, "cols": cols, "entries": entries,
+                 **extra},
+        ["row_label", "col_label", "value"],
+        lambda: ([rows[i], cols[j], v] for i, j, v in entries),
+    )
 
 
 def cmd_kmatrix(args) -> int:
@@ -128,126 +140,77 @@ def cmd_gram(args) -> int:
     )
 
 
-def _block_records(n: int, p: int):
-    """(lam, core, weight, basic) for every partition of n, grouped by block
-    in the order of decomp.block_partition, one abacus per partition."""
-    mid = decomp.r_slot(p)
-    blocks: dict = {}
-    for lam in generate_partitions(n):
-        core, quotient, weight = p_core_and_quotient(lam, p)
-        blocks.setdefault((core, weight), []).append((lam, not quotient[mid]))
-    return [
-        (lam, core, weight, basic)
-        for (core, weight), members in blocks.items()
-        for lam, basic in members
-    ]
+def _require_block_args(args) -> None:
+    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
+    _require(1 <= args.n <= BLOCKS_GUARD, f"n must be in 1..{BLOCKS_GUARD}")
 
 
 def cmd_basicset(args) -> int:
-    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
-    _require(1 <= args.n <= BLOCKS_GUARD, f"n must be in 1..{BLOCKS_GUARD}")
-    records = _block_records(args.n, args.p)
-    if args.format == "json":
-        _emit(args, _json_text(
-            {
-                "n": args.n,
-                "p": args.p,
-                "partitions": [
-                    {
-                        "partition": format_partition(lam),
-                        "core": format_partition(core),
-                        "weight": weight,
-                        "basic": basic,
-                    }
-                    for lam, core, weight, basic in records
-                ],
-            }
-        ))
-    else:
-        _emit(args, _csv_text(
-            ["partition", "core", "weight", "basic"],
-            [
-                [format_partition(lam), format_partition(core), weight, basic]
-                for lam, core, weight, basic in records
-            ],
-        ))
-    return 0
+    _require_block_args(args)
+
+    def records():  # the grouping is freed before the JSON text is built
+        for (core, weight), members in decomp.blocks(args.n, args.p).items():
+            for lam, basic in members:
+                yield format_partition(lam), format_partition(core), weight, basic
+
+    return _report(
+        args,
+        lambda: {"n": args.n, "p": args.p, "partitions": [
+            {"partition": lam, "core": core, "weight": weight, "basic": basic}
+            for lam, core, weight, basic in records()
+        ]},
+        ["partition", "core", "weight", "basic"],
+        records,
+    )
 
 
 def cmd_blocks(args) -> int:
-    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
-    _require(1 <= args.n <= BLOCKS_GUARD, f"n must be in 1..{BLOCKS_GUARD}")
-    blocks = decomp.block_partition(args.n, args.p)
-    if args.format == "json":
-        _emit(args, _json_text(
-            {
-                "n": args.n,
-                "p": args.p,
-                "blocks": [
-                    {
-                        "core": format_partition(core),
-                        "weight": weight,
-                        "partitions": [format_partition(lam) for lam in members],
-                    }
-                    for (core, weight), members in blocks.items()
-                ],
-            }
-        ))
-    else:
-        rows = [
+    _require_block_args(args)
+    return _report(
+        args,
+        lambda: {"n": args.n, "p": args.p, "blocks": [
+            {"core": format_partition(core), "weight": weight,
+             "partitions": [format_partition(lam) for lam in members]}
+            for (core, weight), members in decomp.block_partition(args.n, args.p).items()
+        ]},
+        ["core", "weight", "partition"],
+        lambda: (
             [format_partition(core), weight, format_partition(lam)]
-            for (core, weight), members in blocks.items()
+            for (core, weight), members in decomp.block_partition(args.n, args.p).items()
             for lam in members
-        ]
-        _emit(args, _csv_text(["core", "weight", "partition"], rows))
-    return 0
+        ),
+    )
 
 
 def cmd_verify(args) -> int:
     _require(args.w >= 0, f"w must be nonnegative, got {args.w}")
-    guard = _guard_from_env()
-    claims = oracle.verify_suite(args.p, args.w, guard=guard)
+    # a p above MAX_PRIME gets a skip record from verify_suite
+    _require(args.p > oracle.MAX_PRIME or oracle.supported_p(args.p),
+             f"p must be an odd prime, got {args.p}")
+    claims = oracle.verify_suite(args.p, args.w, guard=_guard_from_env())
+
+    def params(c):
+        return " ".join(f"{k}={v}" for k, v in c.params.items())
+
     if not args.quiet:
         for c in claims:
-            params = " ".join(f"{k}={v}" for k, v in c.params.items())
-            print(f"[{c.status.upper():4}] {c.claim} {params}", file=sys.stderr)
+            print(f"[{c.status.upper():4}] {c.claim} {params(c)}", file=sys.stderr)
     failed = sum(c.status == "fail" for c in claims)
     skipped = sum(c.status == "skip" for c in claims)
-    payload = {
-        "p": args.p,
-        "w": args.w,
-        "claims": [
-            {
-                "claim": c.claim,
-                "params": {k: str(v) for k, v in c.params.items()},
-                "expected": c.expected,
-                "computed": c.computed,
-                "status": c.status,
-            }
+    _report(
+        args,
+        lambda: {"p": args.p, "w": args.w, "claims": [
+            {"claim": c.claim, "params": {k: str(v) for k, v in c.params.items()},
+             "expected": c.expected, "computed": c.computed, "status": c.status}
             for c in claims
-        ],
-        "failed": failed,
-        "skipped": skipped,
-        "passed": failed == 0,
-    }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, _csv_text(
-            ["claim", "params", "expected", "computed", "status"],
-            [
-                [c.claim, " ".join(f"{k}={v}" for k, v in c.params.items()),
-                 c.expected, c.computed, c.status]
-                for c in claims
-            ],
-        ))
+        ], "failed": failed, "skipped": skipped, "passed": failed == 0},
+        ["claim", "params", "expected", "computed", "status"],
+        lambda: ([c.claim, params(c), c.expected, c.computed, c.status] for c in claims),
+    )
     if not args.quiet:
-        total = len(claims)
-        print(
-            f"{total - failed - skipped}/{total} claims passed"
-            + (f", {skipped} skipped" if skipped else ""),
-            file=sys.stderr,
-        )
+        passed = len(claims) - failed - skipped
+        print(f"{passed}/{len(claims)} claims passed" + (f", {skipped} skipped" if skipped else ""),
+              file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -24,11 +24,11 @@ from .lr import restriction_expansion, schur_product
 from .partitions import (
     MultiPartition,
     Partition,
+    _require_odd_prime,
     generate_multipartitions,
     generate_partitions,
     p_core_and_quotient,
 )
-from .partitions import _require_odd_prime  # shared validation
 
 
 def r_slot(p: int) -> int:
@@ -194,65 +194,48 @@ def gram_matrix(p: int, w: int) -> list[list[int]]:
 
 
 def gram_determinant(p: int, w: int) -> int:
-    """Determinant of gram_matrix(p, w).
+    """Determinant of gram_matrix(p, w), read off the label counts.
 
     The Gram matrix is K^T K with K = k_matrix(p, w) of shape #H-labels x
-    #G-labels.  When #H < #G, which holds for every w >= 1, its rank is at
-    most #H and the determinant is 0 by Cauchy-Binet; only otherwise (w = 0)
-    is it eliminated.
+    #G-labels, and #H <= #G since hat() embeds the H-labels in the G-labels.
+    By Cauchy-Binet, det(K^T K) is the sum of det(K_S)^2 over the #G-row
+    subsets S of K: there are none when #H < #G, which holds for every
+    w >= 1, so the determinant is 0.  At w = 0 both counts are 1 and
+    K = [[1]], so it is 1.
     """
-    if len(hlabels(p, w)) < len(glabels(p, w)):
-        return 0
-    return determinant(gram_matrix(p, w))
+    return int(len(hlabels(p, w)) == len(glabels(p, w)))
 
 
-def determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def blocks(n: int, p: int) -> dict[tuple[Partition, int], list[tuple[Partition, bool]]]:
+    """Partitions of n grouped by block (core, weight), each paired with its
+    basic-set flag, from one abacus per partition (_abacus); blocks in order of
+    their first member, members in generate_partitions order."""
+    _require_odd_prime(p)
+    out: dict[tuple[Partition, int], list[tuple[Partition, bool]]] = {}
+    for lam in generate_partitions(n):
+        key, basic = _abacus(lam, p)
+        out.setdefault(key, []).append((lam, basic))
+    return out
+
+
+def _abacus(lam: Partition, p: int) -> tuple[tuple[Partition, int], bool]:
+    """The block (core, weight) of lam, and whether its slot-r quotient is empty."""
+    core, quotient, weight = p_core_and_quotient(lam, p)
+    return (core, weight), not quotient[r_slot(p)]
 
 
 def basic_set(n: int, p: int) -> list[Partition]:
-    """Partitions of n whose quotient has an empty component in slot r.
+    """Partitions of n flagged basic as in blocks(), in generate_partitions order.
 
     Their count equals the number of partitions of n with no part divisible
     by p, i.e. the number of classes of the symmetric group of order coprime
     to p.
     """
     _require_odd_prime(p)
-    mid = r_slot(p)
-    return [
-        lam
-        for lam in generate_partitions(n)
-        if not p_core_and_quotient(lam, p).quotient[mid]
-    ]
+    return [lam for lam in generate_partitions(n) if _abacus(lam, p)[1]]
 
 
-def block_partition(
-    n: int, p: int
-) -> dict[tuple[Partition, int], list[Partition]]:
-    """Partitions of n grouped by (core, weight); two labels share a group
-    exactly when their cores agree."""
-    _require_odd_prime(p)
-    blocks: dict[tuple[Partition, int], list[Partition]] = {}
-    for lam in generate_partitions(n):
-        core, _, weight = p_core_and_quotient(lam, p)
-        blocks.setdefault((core, weight), []).append(lam)
-    return blocks
+def block_partition(n: int, p: int) -> dict[tuple[Partition, int], list[Partition]]:
+    """Partitions of n grouped by (core, weight), as in blocks(); two labels
+    share a group exactly when their cores agree."""
+    return {key: [lam for lam, _ in members] for key, members in blocks(n, p).items()}

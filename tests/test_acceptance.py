@@ -8,12 +8,13 @@ import time
 from fractions import Fraction
 from math import comb
 
+from bareiss import determinant
+
 from wreathdec import decomp, oracle
 from wreathdec.decomp import (
     basic_set,
     degree_G,
     degree_H,
-    determinant,
     glabels,
     gram_matrix,
     hlabels,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,9 +9,16 @@ import time
 from pathlib import Path
 
 import pytest
+from bareiss import determinant
 
 from wreathdec import decomp, oracle
-from wreathdec.cli import _glabel_count, main
+from wreathdec.cli import (
+    GRAM_LABEL_GUARD,
+    KMATRIX_LABEL_GUARD,
+    _glabel_count,
+    _require_label_args,
+    main,
+)
 from wreathdec.partitions import (
     format_multipartition,
     parse_multipartition,
@@ -97,7 +105,7 @@ def test_gram_determinant_matches_elimination(capsys):
     for p, w_max in [(3, 4), (5, 3), (7, 2)]:
         for w in range(w_max + 1):
             payload = run_json(capsys, "gram", "--p", str(p), "--w", str(w))
-            expected = decomp.determinant(decomp.gram_matrix(p, w))
+            expected = determinant(decomp.gram_matrix(p, w))
             assert payload["determinant"] == expected == (1 if w == 0 else 0), (p, w)
 
 
@@ -184,10 +192,19 @@ def test_verify_weight_two_all_claims_pass(capsys):
 
 
 def test_verify_skips_unsupported_p(capsys):
-    code, out = run_cli(capsys, "verify", "--p", "2", "--w", "1", "--quiet")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["skipped"] >= 1 and payload["failed"] == 0
+    for p in ("19", "1000000000000000003"):
+        start = time.monotonic()
+        code, out = run_cli(capsys, "verify", "--p", p, "--w", "1", "--quiet")
+        assert time.monotonic() - start < 5.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["skipped"] == 1 and payload["failed"] == 0
+        assert payload["claims"][0]["claim"] == "base_group_supported"
+
+
+@pytest.mark.parametrize("p", ["2", "4", "1", "-3", "15"])
+def test_verify_rejects_p_that_is_not_an_odd_prime(p):
+    assert f"p must be an odd prime, got {p}" in run_failing("verify", "--p", p, "--w", "1")
 
 
 def test_failing_claim_exits_one(capsys, monkeypatch):
@@ -255,3 +272,32 @@ def test_label_count_matches_enumeration():
 def test_label_guard_rejects_before_any_work(command, p, count):
     line = run_failing(command, "--p", p, "--w", "6")
     assert f"has {count} G-labels, beyond the guard" in line
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--p", "449", "--w", "2"), "has 45561826 G-label components"),
+    (("--p", "373", "--w", "2"), "has 26156252 G-label components"),
+    (("--p", "5101", "--w", "1"), "has 26020201 G-label components"),
+    (("--p", "1000000000000000003", "--w", "0"), "has 1000000000000000003 G-label components"),
+    (("--p", "1000000000000000003", "--w", "1"), "has 1000000000000000003 G-labels, beyond"),
+])
+def test_size_guards_reject_before_the_primality_test(argv, message):
+    start = time.monotonic()
+    assert message in run_failing("kmatrix", *argv)
+    assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("p,w,guard", [
+    (17, 6, KMATRIX_LABEL_GUARD), (199, 2, KMATRIX_LABEL_GUARD), (97, 2, GRAM_LABEL_GUARD),
+    (367, 2, KMATRIX_LABEL_GUARD), (109, 3, KMATRIX_LABEL_GUARD), (5099, 1, KMATRIX_LABEL_GUARD),
+    (25999949, 0, KMATRIX_LABEL_GUARD),
+])
+def test_guards_admit_the_largest_cases_that_finish(p, w, guard):
+    """Each of these finishes within the 2.5 GB and 62 s of kmatrix --p 17 --w 6
+    (measured on 2 vCPU; the README lists them)."""
+    _require_label_args(argparse.Namespace(p=p, w=w), guard)
+
+
+def test_kmatrix_at_a_prime_beyond_the_recursion_limit(capsys):
+    payload = run_json(capsys, "kmatrix", "--p", "499", "--w", "1")
+    assert len(payload["rows"]) == 498 and len(payload["cols"]) == 499

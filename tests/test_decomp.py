@@ -1,14 +1,15 @@
 from math import factorial
 
 import pytest
+from bareiss import determinant
 
 from wreathdec import decomp
 from wreathdec.decomp import (
     basic_set,
     block_partition,
+    blocks,
     degree_G,
     degree_H,
-    determinant,
     glabels,
     gram_entries,
     gram_matrix,
@@ -265,3 +266,25 @@ def test_blocks_below_p_are_singletons():
     for p in (3, 5, 7):
         for n in range(1, p):
             assert all(len(m) == 1 for m in block_partition(n, p).values())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_one_block_grouping_feeds_basic_set_and_block_partition(p):
+    mid = decomp.r_slot(p)
+    for n in range(21):
+        grouped = blocks(n, p)
+        basic = set(basic_set(n, p))
+        first_index = []
+        for (core, weight), members in grouped.items():
+            lams = [lam for lam, _ in members]
+            first_index.append(generate_partitions(n).index(lams[0]))
+            assert lams == sorted(lams, reverse=True)
+            for lam, flag in members:
+                core_q, quotient, weight_q = p_core_and_quotient(lam, p)
+                assert (core_q, weight_q) == (core, weight)
+                assert flag == (not quotient[mid]) == (lam in basic), (n, lam)
+        assert first_index == sorted(first_index)
+        assert sum(len(m) for m in grouped.values()) == len(generate_partitions(n))
+        assert block_partition(n, p) == {
+            key: [lam for lam, _ in members] for key, members in grouped.items()
+        }

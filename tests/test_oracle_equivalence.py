@@ -19,8 +19,10 @@ from math import factorial
 
 import pytest
 
+from wreathdec import oracle
 from wreathdec.cyclotomic import Cyclotomic
 from wreathdec.oracle import (
+    BaseGroup,
     WreathGroup,
     _block_chi0,
     _split_label,
@@ -92,6 +94,45 @@ def test_classes_match_full_conjugation(p, w, kind):
     assert group.class_sizes == sizes
     assert group.class_labels == labels
     assert group.class_of_index == class_of_index
+
+
+def frozen_base_classes(base):
+    """Full conjugation of each unassigned element: (reps, sizes, class_of)."""
+    class_of, reps, sizes = {}, [], []
+    for g in base.elements:
+        if g in class_of:
+            continue
+        orbit = {base.mult(base.mult(x, g), base.inv(x)) for x in base.elements}
+        for y in orbit:
+            class_of[y] = len(reps)
+        reps.append(g)
+        sizes.append(len(orbit))
+    return tuple(reps), tuple(sizes), class_of
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_base_classes_match_full_conjugation(p):
+    for base in (base_group(p).G, base_group(p).H):
+        reps, sizes, class_of = frozen_base_classes(base)
+        assert base.class_reps == reps
+        assert base.class_sizes == sizes
+        assert base.class_of == class_of
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_wrong_base_classes_fail_the_orbit_check(kept, monkeypatch):
+    pair = base_group(3)
+    G = pair.G
+    bad = BaseGroup("G", G.elements, G.identity, G.mult, G.inv, G.irr, G.value_order,
+                    G.generators[kept : kept + 1])
+    assert bad.class_sizes != G.class_sizes
+    monkeypatch.setattr(oracle, "base_group", lambda p: pair._replace(G=bad))
+    oracle._wreath_cached.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="disagree"):
+            wreath_group(3, 2, "G")
+    finally:
+        oracle._wreath_cached.cache_clear()
 
 
 def multi_block_characters(group):

@@ -99,6 +99,33 @@ def test_generate_multipartitions_count_is_convolution(w, t):
     assert len(set(mps)) == len(mps)
 
 
+@lru_cache(maxsize=None)
+def frozen_multipartitions(w, t):
+    """The original enumeration, one recursion level per slot: the size of
+    the first component from w down to 0, then the rest recursively."""
+    if t == 1:
+        return tuple((lam,) for lam in generate_partitions(w))
+    out = []
+    for s in range(w, -1, -1):
+        for head in generate_partitions(s):
+            for tail in frozen_multipartitions(w - s, t - 1):
+                out.append((head,) + tail)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("w,t", [(w, t) for w in range(7) for t in range(1, 10)]
+                         + [(4, 13), (4, 12), (6, 5), (6, 4), (2, 60)])
+def test_generate_multipartitions_keeps_the_frozen_order(w, t):
+    assert generate_multipartitions(w, t) == frozen_multipartitions(w, t)
+
+
+def test_generate_multipartitions_depth_is_bounded_by_weight():
+    # one recursion level per slot would pass the recursion limit here
+    assert generate_multipartitions(0, 5000) == (((),) * 5000,)
+    labels = generate_multipartitions(1, 1100)
+    assert [mp.index((1,)) for mp in labels] == list(range(1100))
+
+
 def test_hook_lengths_examples():
     assert hook_lengths((1,)) == {(0, 0): 1}
     assert hook_lengths((3,)) == {(0, 0): 3, (0, 1): 2, (0, 2): 1}
