@@ -27,6 +27,7 @@ from .partitions import (
 )
 
 BLOCKS_GUARD = 40
+ABACUS_WORK_GUARD = 4_000_000  # partitions of n times p; measured in the README's Guards
 KMATRIX_GUARD = 6
 KMATRIX_LABEL_GUARD = 250_000
 GRAM_LABEL_GUARD = 30_000
@@ -141,8 +142,14 @@ def cmd_gram(args) -> int:
 
 
 def _require_block_args(args) -> None:
-    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
+    """One abacus per partition of n pads its beta-set to p runners, so the
+    work bound runs before the primality test, a trial division up to sqrt(p)."""
     _require(1 <= args.n <= BLOCKS_GUARD, f"n must be in 1..{BLOCKS_GUARD}")
+    work = len(generate_partitions(args.n)) * args.p
+    _require(work <= ABACUS_WORK_GUARD,
+             f"p={args.p}, n={args.n} has {work} abacus runners (partitions of n times p), "
+             f"beyond the guard of {ABACUS_WORK_GUARD}")
+    _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
 
 
 def cmd_basicset(args) -> int:

@@ -25,6 +25,7 @@ from .partitions import (
     MultiPartition,
     Partition,
     _require_odd_prime,
+    check_partition,
     generate_multipartitions,
     generate_partitions,
     p_core_and_quotient,
@@ -53,7 +54,10 @@ def _key_row(key: tuple[Partition, ...]) -> Mapping:
     component a adds prod c^a_{beta, gamma^i} times the Schur product of the
     betas.  Empty slots are inert and permuting the non-r slots of alpha and
     gamma together leaves k unchanged, so the row does not depend on p: each
-    key's row is computed once per process and shared by every p."""
+    key's row is computed once per process and shared by every p.  Validated
+    on a cache miss only, so the matrix rows built by induce_H_to_G pay nothing."""
+    for a in key:
+        check_partition(a)
     slot_splits = [
         [t for j in range(sum(a) + 1) for t in restriction_expansion(a, j)]
         for a in key
@@ -67,6 +71,14 @@ def _key_row(key: tuple[Partition, ...]) -> Mapping:
         for gamma_r, cr in schur_product(b for b, _, _ in combo).items():
             row[gammas, gamma_r] = row.get((gammas, gamma_r), 0) + coeff * cr
     return MappingProxyType(row)
+
+
+def _check_label(label, length: int) -> None:
+    """Raise ValueError unless label has `length` components, each a partition."""
+    if len(label) != length:
+        raise ValueError(f"expected {length} components, got {len(label)}")
+    for comp in label:
+        check_partition(comp)
 
 
 def _orbit(alpha: MultiPartition, p: int):
@@ -95,8 +107,8 @@ def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
     whenever some |gamma^i| exceeds |alpha^i|.
     """
     _require_odd_prime(p)
-    if len(alpha) != p - 1 or len(gamma) != p:
-        raise ValueError(f"label lengths {len(alpha)}, {len(gamma)} do not fit p={p}")
+    _check_label(alpha, p - 1)
+    _check_label(gamma, p)
     if sum(map(sum, alpha)) != sum(map(sum, gamma)):
         raise ValueError("labels have different weights")
     return _coefficient(alpha, gamma, p)
@@ -104,7 +116,8 @@ def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
 
 def induce_H_to_G(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All G-labels appearing in the induction of alpha, with multiplicities:
-    the row of alpha's orbit key, scattered back through its slot permutation."""
+    the row of alpha's orbit key (whose build validates it), scattered back
+    through its slot permutation."""
     _require_odd_prime(p)
     slots, row = _orbit(alpha, p)
     mid = r_slot(p)
@@ -122,8 +135,7 @@ def restrict_G_to_H(gamma: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All H-labels appearing in the restriction of gamma, with multiplicities,
     ordered by the component sizes of alpha, ascending, then as in hlabels."""
     _require_odd_prime(p)
-    if len(gamma) != p:
-        raise ValueError(f"expected {p} components, got {len(gamma)}")
+    _check_label(gamma, p)
     terms = [
         (alpha, k)
         for alpha in hlabels(p, sum(map(sum, gamma)))
@@ -136,15 +148,24 @@ def restrict_G_to_H(gamma: MultiPartition, p: int) -> dict[MultiPartition, int]:
 def degree_G(gamma: MultiPartition, p: int) -> int:
     """Degree of the G-irreducible gamma: the r-th base character has degree
     p - 1, all others are linear."""
-    return degree_H(gamma, p) * (p - 1) ** sum(gamma[r_slot(p)])
+    _require_odd_prime(p)
+    _check_label(gamma, p)
+    return _degree(gamma) * (p - 1) ** sum(gamma[r_slot(p)])
 
 
 def degree_H(alpha: MultiPartition, p: int) -> int:
     """Degree of the H-irreducible alpha (all base characters are linear)."""
     _require_odd_prime(p)
-    w = sum(map(sum, alpha))
+    _check_label(alpha, p - 1)
+    return _degree(alpha)
+
+
+def _degree(label: MultiPartition) -> int:
+    """The multinomial of the component sizes times their symmetric-group
+    degrees: the degree when every base character is linear."""
+    w = sum(map(sum, label))
     deg = factorial(w)
-    for comp in alpha:
+    for comp in label:
         deg = deg // factorial(sum(comp)) * sn_char.degree(comp)
     return deg
 

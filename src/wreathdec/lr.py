@@ -12,7 +12,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .partitions import Partition, generate_partitions
+from .partitions import Partition, check_partition, generate_partitions
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -29,8 +29,11 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     Counts fillings of the skew shape alpha/beta with content gamma that are
     semistandard and whose reverse reading word (rows top to bottom, each read
     right to left) is a lattice word.  Zero when the sizes do not match or
-    beta is not contained in alpha.
+    beta is not contained in alpha.  The arguments are validated on a cache
+    miss only.
     """
+    for lam in (alpha, beta, gamma):
+        check_partition(lam)
     if sum(alpha) != sum(beta) + sum(gamma) or not contains(alpha, beta):
         return 0
     if not gamma:

@@ -4,9 +4,9 @@ Everything the label-level engine computes by formula is recomputed here the
 hard way: the base groups are materialized as explicit element tables, the
 wreath products as explicit element sets, conjugacy classes are conjugation
 orbits closed under a generating set (checked against cycle labels), induced
-characters are class sums over every member of each class, and every
-multiplicity is an exact inner product of class functions.  Agreement between
-the two routes is the whole point of this module.
+characters are class sums over y in c ∩ K, the inducing subgroup K enumerated
+from its blocks, and every multiplicity is an exact inner product of class
+functions.  Agreement between the two routes is the whole point of this module.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .lr import lr_coefficient
 from .partitions import (
     MultiPartition,
     Partition,
+    check_partition,
     generate_multipartitions,
     generate_partitions,
     is_odd_prime,
@@ -359,52 +360,45 @@ def _tilde_value(base: BaseGroup, base_values, lam: Partition, f, sigma):
     """Value at (f, sigma) of the extension-style character built from a base
     character table tensored with a symmetric-group character: a product of
     base values at the cycle products times the character value at the cycle
-    type.  Returns None when some coordinate leaves the table's domain (the
-    coordinates decide membership; cycle products of outside elements can
-    still land inside)."""
-    for x in f:
-        if x not in base_values:
-            return None
+    type.  Every coordinate of f must lie in the table's domain."""
     val = 1
     for prod in _cycle_products(base, f, sigma):
         val = val * base_values[prod]
     return val * mn_value(lam, perm_cycles(sigma)[1])
 
 
-def _block_chi0(group: WreathGroup, blocks):
-    """Pointwise values of an outer tensor product over consecutive blocks,
-    zero (None) off the block-product subgroup."""
-
-    def chi0(elem):
-        f, sigma = elem
-        val = 1
-        for start, size, base_values, lam in blocks:
-            if any(not start <= sigma[start + i] < start + size for i in range(size)):
-                return None
-            sub_sigma = tuple(sigma[start + i] - start for i in range(size))
-            v = _tilde_value(group.base, base_values, lam, f[start : start + size], sub_sigma)
-            if v is None:
-                return None
-            val = val * v
-        return val
-
-    return chi0
+def _block_value(base: BaseGroup, blocks, f, sigma):
+    """Value at (f, sigma) of the outer tensor product over consecutive blocks
+    (start, size, table, lam); sigma must permute each block's letters."""
+    val = 1
+    for start, size, base_values, lam in blocks:
+        sub_sigma = tuple(s - start for s in sigma[start : start + size])
+        val = val * _tilde_value(base, base_values, lam, f[start : start + size], sub_sigma)
+    return val
 
 
-def induce(group: WreathGroup, chi0, subgroup_order: int) -> ClassFunction:
-    """Induction of the zero-extended subgroup character chi0 (a function on
-    elements, None outside) by class sums: the value on a class c is
-    |G| / (|K| |c|) times the sum of chi0 over the members of c, since
-    conjugating by all of G hits each member |G| / |c| times."""
-    values = []
-    for members in group._class_members:
-        acc = Cyclotomic(group.base.value_order)
-        for i in members:
-            v = chi0(group.elements[i])
-            if v is not None:
-                acc = acc + v
-        values.append(acc * Fraction(group.order, subgroup_order * len(members)))
-    return ClassFunction(group, values)
+def induce(group: WreathGroup, blocks) -> ClassFunction:
+    """Induction of the block character from the block subgroup K by class
+    sums: the value on a class c is |G| / (|K| |c|) times the sum of the
+    block character over c ∩ K, since conjugating by all of G hits each
+    member of c |G| / |c| times.  K is enumerated from the blocks (in each,
+    every coordinate ranges over the table's keys and the letters are
+    permuted among themselves), and |K| is counted on the way."""
+    per_block = [
+        [(f, tuple(start + s for s in sigma))
+         for f in product(table, repeat=size) for sigma in permutations(range(size))]
+        for start, size, table, _ in blocks
+    ]
+    sums = [Cyclotomic(group.base.value_order)] * len(group.class_reps)
+    sub_order = 0
+    for parts in product(*per_block):
+        f, sigma = (sum(xs, ()) for xs in zip(*parts))
+        c = group.class_of_index[group.index[f, sigma]]
+        sums[c] = sums[c] + _block_value(group.base, blocks, f, sigma)
+        sub_order += 1
+    return ClassFunction(group, [
+        acc * Fraction(group.order, sub_order * size) for acc, size in zip(sums, group.class_sizes)
+    ])
 
 
 def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFunction:
@@ -417,6 +411,8 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
         return group._char_cache[label]
     if len(label) != len(group.base.irr):
         raise ValueError(f"label must have {len(group.base.irr)} components")
+    for lam in label:
+        check_partition(lam)
     if sum(map(sum, label)) != group.w:
         raise ValueError(f"label size must be {group.w}")
     blocks = []
@@ -427,13 +423,10 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
             blocks.append((start, size, group.base.irr[slot], lam))
             start += size
     if len(blocks) <= 1:
-        chi0 = _block_chi0(group, blocks)
-        chi = ClassFunction(group, [chi0(rep) for rep in group.class_reps])
+        chi = ClassFunction(
+            group, [_block_value(group.base, blocks, *rep) for rep in group.class_reps])
     else:
-        sub_order = len(group.base.elements) ** group.w
-        for _, size, _, _ in blocks:
-            sub_order *= factorial(size)
-        chi = induce(group, _block_chi0(group, blocks), sub_order)
+        chi = induce(group, blocks)
     if inner_product(chi, chi) != 1:
         raise RuntimeError(f"character {label} does not have norm 1")
     group._char_cache[label] = chi
@@ -464,7 +457,7 @@ def oracle_restriction(
 ) -> dict[MultiPartition, int]:
     """Restriction multiplicities of the big-wreath irreducible gamma,
     recomputed by exact inner products over the concretely built groups."""
-    w = sum(map(sum, gamma))
+    w = sum(sum(check_partition(lam)) for lam in gamma)
     gw = wreath_group(p, w, "G", guard)
     hw = wreath_group(p, w, "H", guard)
     res = restrict_to_h(gw, hw, parametrized_character(gw, gamma))
@@ -476,16 +469,13 @@ def oracle_restriction(
     return out
 
 
-@cache
 def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
     """Induction of (i-th linear extension) x (alpha) from the small wreath
     product, embedded coordinate-wise, up to the big one on the same letters.
-    The i-th linear complement character is a partial table on the big base
-    group, defined on the embedded complement only.  Cached, so the Mackey
-    and reconstruction suites share each induction."""
+    The i-th linear complement character is moved onto the embedded
+    complement, so its keys make the block subgroup the small wreath product."""
     theta = {(0, b): v for b, v in pair.H.irr[pair.islots.index(i)].items()}
-    chi0 = _block_chi0(gw, [(0, gw.w, theta, alpha)])
-    return induce(gw, chi0, group_order(pair.p, gw.w, "H"))
+    return induce(gw, [(0, gw.w, theta, alpha)])
 
 
 def _split_label(pair: BasePair, i: int, beta: Partition, gamma: Partition):
@@ -517,6 +507,8 @@ def verify_mackey_multiplicities(
     pair = base_group(p)
     if i not in pair.islots:
         raise ValueError(f"i must avoid the distinguished slot, got {i}")
+    for lam in (alpha, beta, gamma):
+        check_partition(lam)
     if not 0 <= j <= k or sum(beta) != j or sum(gamma) != k - j or sum(alpha) != k:
         raise ValueError("sizes must satisfy |beta| = j, |gamma| = k - j, |alpha| = k")
     gw = wreath_group(p, k, "G", guard)

@@ -28,7 +28,7 @@ def check_partition(parts) -> Partition:
 
 
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
     return all(p % d for d in range(3, int(p**0.5) + 1, 2))
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from wreathdec.cli import (
     GRAM_LABEL_GUARD,
     KMATRIX_LABEL_GUARD,
     _glabel_count,
+    _require_block_args,
     _require_label_args,
     main,
 )
@@ -183,6 +185,28 @@ def test_verify_passes_and_is_fast(capsys):
     assert elapsed < 5.0
 
 
+# sha256 of `verify` stdout, recorded before induction enumerated the
+# inducing subgroup; any change to a claim, its order or a Cyclotomic repr
+# shows here
+VERIFY_DIGESTS = {
+    ("3", "2", "json"): "d0de5d28804977576aeb3145a9072dbff4590cdebbf07724473263f0e5296445",
+    ("3", "2", "csv"): "8638fc1cf03c755bcc8c07b7ddf9eb2511815a5eedd6a1b274fcb2e5fcbe45d3",
+    ("3", "3", "json"): "d6eb5696477ab1a9f026e3006331dbc76172a9eb426e5a3a0a54593ad77b26b1",
+    ("3", "3", "csv"): "1471c63361e2432dcb1ce6a65899b3a8191dbca8c4591f22cac0849db1cf1191",
+    ("5", "2", "json"): "ab59181415ab8edaef1a9b340c41a8a73025b79f2a60336c7bfc4a93ee134170",
+    ("5", "2", "csv"): "945a6c50294eb225e4fc682b90874114f29718efbb947ffbdc57c14c53d3d9c6",
+    ("7", "1", "json"): "1f7c4ccb8f0c22e058ba0ec1b85bdb9794421bf7c46960436694c059deb700dc",
+    ("7", "1", "csv"): "c89aad0b62c27515ccd32887a3e5b9b03c44b5889cc02839a8cc7151875f32c3",
+}
+
+
+@pytest.mark.parametrize("p,w,fmt", list(VERIFY_DIGESTS))
+def test_verify_output_bytes_are_pinned(p, w, fmt, capsys):
+    code, out = run_cli(capsys, "verify", "--p", p, "--w", w, "--format", fmt, "--quiet")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[p, w, fmt]
+
+
 def test_verify_weight_two_all_claims_pass(capsys):
     code, out = run_cli(capsys, "verify", "--p", "3", "--w", "2", "--quiet")
     assert code == 0
@@ -296,6 +320,33 @@ def test_guards_admit_the_largest_cases_that_finish(p, w, guard):
     """Each of these finishes within the 2.5 GB and 62 s of kmatrix --p 17 --w 6
     (measured on 2 vCPU; the README lists them)."""
     _require_label_args(argparse.Namespace(p=p, w=w), guard)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("blocks", "--p", "1000000000000000003", "--n", "40"), "has 37338000000000000112014 abacus"),
+    (("blocks", "--p", "1000000000000000003", "--n", "41"), "n must be in 1..40"),
+    (("basicset", "--p", "1000003", "--n", "40"), "has 37338112014 abacus runners"),
+])
+def test_abacus_guards_reject_before_the_primality_test(argv, message):
+    start = time.monotonic()
+    assert message in run_failing(*argv)
+    assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("p,n", [
+    (3, 40), (7, 40), (13, 20),  # the abacus benchmark cases and --p 13 --n 20
+    (107, 40), (709, 30), (6379, 20), (95233, 10), (1999993, 2), (3999971, 1),
+])
+def test_abacus_guard_admits_the_largest_cases_that_finish(p, n):
+    """The last six are the largest primes admitted at their n (the README
+    lists their measured time and memory)."""
+    _require_block_args(argparse.Namespace(p=p, n=n))
+
+
+def test_abacus_guard_refuses_the_next_prime():
+    for p, n in [(109, 40), (719, 30), (4000037, 1)]:
+        with pytest.raises(SystemExit):
+            _require_block_args(argparse.Namespace(p=p, n=n))
 
 
 def test_kmatrix_at_a_prime_beyond_the_recursion_limit(capsys):

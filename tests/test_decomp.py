@@ -4,6 +4,13 @@ import pytest
 from bareiss import determinant
 
 from wreathdec import decomp
+from wreathdec.lr import lr_coefficient
+from wreathdec.oracle import (
+    oracle_restriction,
+    parametrized_character,
+    verify_mackey_multiplicities,
+    wreath_group,
+)
 from wreathdec.decomp import (
     basic_set,
     block_partition,
@@ -54,6 +61,24 @@ def test_k_coefficient_validates_labels():
         induce_H_to_G(((1,), (), ()), 3)
     with pytest.raises(ValueError, match="expected 3 components, got 2"):
         restrict_G_to_H(((1,), ()), 3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: k_coefficient(((0,), ()), ((), (), ()), 3), "must be positive"),
+    (lambda: induce_H_to_G(((-1,), ()), 3), "must be positive"),
+    (lambda: restrict_G_to_H(((), (2, 1, 3), ()), 3), "weakly decreasing"),
+    (lambda: lr_coefficient((1, 2), (1,), (1,)), "weakly decreasing"),
+    (lambda: degree_H(((1, 2), ()), 3), "weakly decreasing"),
+    (lambda: parametrized_character(wreath_group(3, 3), ((), (1, 2), ())), "weakly decreasing"),
+    (lambda: k_coefficient(((1,), ()), ((), (1,), ()), 3.0), "p must be an odd prime, got 3.0"),
+    (lambda: oracle_restriction(((), (2, 1, 3), ()), 3), "weakly decreasing"),
+    (lambda: verify_mackey_multiplicities(1, 0, (1, 2), (), (2, 1), 3, 3), "weakly decreasing"),
+], ids=["k_coefficient", "induce", "restrict", "lr", "degree_H", "character", "float_p",
+        "oracle_restriction", "mackey"])
+def test_bad_library_arguments_raise_value_error(call, message):
+    """Each of these once returned a wrong answer or raised another error."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_key_rows_are_shared_by_every_p_and_read_only():

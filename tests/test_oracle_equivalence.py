@@ -3,9 +3,10 @@
 The reference below is the original formulation, kept here on purpose: each
 class is found by conjugating its representative by every group element,
 which also gives one conjugation row per class, and induction averages the
-subgroup character over each whole row.  The oracle now closes orbits
-under a generating set and induces by class sums, so the two must agree
-exactly.
+zero-extended subgroup character (None off the subgroup K, whose order is
+passed by hand) over each whole row.  The oracle now closes orbits under a
+generating set and induces by summing over the members of each class that
+lie in K, enumerated from the blocks, so the two must agree exactly.
 
 The Mackey claims once induced their right-hand sides block by block, the
 heavy block (slot r) first; they now read the irreducible of the split
@@ -13,6 +14,8 @@ label from `parametrized_character`, which orders blocks by slot.  The
 frozen two-block inductions pin that label's slots.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from functools import reduce
 from math import factorial
@@ -23,8 +26,9 @@ from wreathdec import oracle
 from wreathdec.cyclotomic import Cyclotomic
 from wreathdec.oracle import (
     BaseGroup,
+    ClassFunction,
     WreathGroup,
-    _block_chi0,
+    _cycle_products,
     _split_label,
     base_group,
     group_order,
@@ -33,9 +37,11 @@ from wreathdec.oracle import (
     parametrized_character,
     perm_cycles,
     verify_mackey_multiplicities,
+    verify_suite,
     wreath_group,
 )
 from wreathdec.partitions import generate_multipartitions, generate_partitions
+from wreathdec.sn_char import mn_value
 
 CASES = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -71,6 +77,39 @@ def frozen_classes(group):
         rows.append(row)
     class_labels = tuple(labels[group.index[rep]] for rep in reps)
     return tuple(reps), tuple(sizes), class_labels, tuple(assigned), rows
+
+
+def frozen_tilde_value(base, base_values, lam, f, sigma):
+    """The extension-style character value, or None when some coordinate
+    leaves the table's domain (cycle products of outside elements can still
+    land inside)."""
+    for x in f:
+        if x not in base_values:
+            return None
+    val = 1
+    for prod in _cycle_products(base, f, sigma):
+        val = val * base_values[prod]
+    return val * mn_value(lam, perm_cycles(sigma)[1])
+
+
+def frozen_block_chi0(group, blocks):
+    """Pointwise values of an outer tensor product over consecutive blocks,
+    zero (None) off the block-product subgroup."""
+
+    def chi0(elem):
+        f, sigma = elem
+        val = 1
+        for start, size, base_values, lam in blocks:
+            if any(not start <= sigma[start + i] < start + size for i in range(size)):
+                return None
+            sub_sigma = tuple(sigma[start + i] - start for i in range(size))
+            v = frozen_tilde_value(group.base, base_values, lam, f[start : start + size], sub_sigma)
+            if v is None:
+                return None
+            val = val * v
+        return val
+
+    return chi0
 
 
 def frozen_induce(group, rows, chi0, subgroup_order):
@@ -136,7 +175,7 @@ def test_wrong_base_classes_fail_the_orbit_check(kept, monkeypatch):
 
 
 def multi_block_characters(group):
-    """(chi0, subgroup order) of every label with two or more nonempty
+    """(blocks, subgroup order) of every label with two or more nonempty
     slots, built as `parametrized_character` builds them."""
     for label in generate_multipartitions(group.w, len(group.base.irr)):
         blocks, start = [], 0
@@ -148,24 +187,23 @@ def multi_block_characters(group):
             order = len(group.base.elements) ** group.w
             for _, size, _, _ in blocks:
                 order *= factorial(size)
-            yield _block_chi0(group, blocks), order
+            yield blocks, order
 
 
 def linear_induction(p, k, i, alpha):
-    """(chi0, subgroup order) of the induction of (i-th linear extension) x
+    """(blocks, subgroup order) of the induction of (i-th linear extension) x
     (alpha) from the small wreath product on k letters."""
     pair = base_group(p)
     theta = {(0, b): v for b, v in pair.H.irr[pair.islots.index(i)].items()}
-    return _block_chi0(wreath_group(p, k, "G"), [(0, k, theta, alpha)]), group_order(p, k, "H")
+    return [(0, k, theta, alpha)], group_order(p, k, "H")
 
 
 def split_blocks(p, k, j_range=None):
-    """(i, j, beta, gamma, chi0, subgroup order) of the block induction of
+    """(i, j, beta, gamma, blocks, subgroup order) of the block induction of
     (degree-(p-1) extension) x (beta) boxed with (i-th linear extension) x
     (gamma) on the big wreath product on k letters, the heavy block first,
     for 0 < j = |beta| < k unless `j_range` says otherwise."""
     pair = base_group(p)
-    gw = wreath_group(p, k, "G")
     psi_r = pair.G.irr[pair.r - 1]
     for i in pair.islots:
         psi_i = pair.G.irr[i - 1]
@@ -175,18 +213,22 @@ def split_blocks(p, k, j_range=None):
                 for gamma in generate_partitions(k - j):
                     blocks = [(0, j, psi_r, beta), (j, k - j, psi_i, gamma)]
                     blocks = [b for b in blocks if b[1]]
-                    yield i, j, beta, gamma, _block_chi0(gw, blocks), order
+                    yield i, j, beta, gamma, blocks, order
 
 
 def mackey_characters(p, k):
-    """(chi0, subgroup order) of every induction `verify_mackey_multiplicities`
+    """(blocks, subgroup order) of every induction `verify_mackey_multiplicities`
     made on the big wreath product on k letters before it read its right
     side from `parametrized_character`."""
     for i in base_group(p).islots:
         for alpha in generate_partitions(k):
             yield linear_induction(p, k, i, alpha)
-    for *_, chi0, order in split_blocks(p, k):
-        yield chi0, order
+    for *_, blocks, order in split_blocks(p, k):
+        yield blocks, order
+
+
+def frozen_block_induce(group, rows, blocks, order):
+    return frozen_induce(group, rows, frozen_block_chi0(group, blocks), order)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -196,9 +238,9 @@ def test_class_sum_induction_matches_whole_group_average(p):
     cases += [(groups[0], c) for c in mackey_characters(p, 2)]
     rows = {id(g): frozen_classes(g)[4] for g in groups}
     assert len(cases) == {3: 10, 5: 28}[p]
-    for group, (chi0, order) in cases:
-        got = induce(group, chi0, order).values
-        assert got == frozen_induce(group, rows[id(group)], chi0, order)
+    for group, (blocks, order) in cases:
+        got = induce(group, blocks).values
+        assert got == frozen_block_induce(group, rows[id(group)], blocks, order)
 
 
 @pytest.mark.parametrize("kind", ["G", "H"])
@@ -215,23 +257,56 @@ def test_every_generator_is_needed_for_the_orbit_check(kind):
 def test_split_label_is_the_frozen_two_block_induction(p, k):
     pair = base_group(p)
     gw = wreath_group(p, k, "G")
+    rows = frozen_classes(gw)[4]
     cases = list(split_blocks(p, k))
     assert {i < pair.r for i, *_ in cases} == {True, False}
-    for i, _, beta, gamma, chi0, order in cases:
+    for i, _, beta, gamma, blocks, order in cases:
+        frozen = frozen_block_induce(gw, rows, blocks, order)
+        assert induce(gw, blocks).values == frozen, (i, beta, gamma)
         got = parametrized_character(gw, _split_label(pair, i, beta, gamma)).values
-        assert got == induce(gw, chi0, order).values, (i, beta, gamma)
+        assert got == frozen, (i, beta, gamma)
 
 
 def test_mackey_multiplicities_match_the_frozen_block_inductions():
     p, k = 3, 2
     gw = wreath_group(p, k, "G")
+    rows = frozen_classes(gw)[4]
     count = 0
-    for i, j, beta, gamma, chi0, order in split_blocks(p, k, range(k + 1)):
-        rhs = induce(gw, chi0, order)
+    for i, j, beta, gamma, blocks, order in split_blocks(p, k, range(k + 1)):
+        rhs = ClassFunction(gw, frozen_block_induce(gw, rows, blocks, order))
         for alpha in generate_partitions(k):
-            lhs = induce(gw, *linear_induction(p, k, i, alpha))
-            expected = inner_product(lhs, rhs)
+            lin_blocks, lin_order = linear_induction(p, k, i, alpha)
+            lhs = frozen_block_induce(gw, rows, lin_blocks, lin_order)
+            assert induce(gw, lin_blocks).values == lhs, (i, alpha)
+            expected = inner_product(ClassFunction(gw, lhs), rhs)
             got = verify_mackey_multiplicities(i, j, alpha, beta, gamma, p, k)
             assert got == expected, (i, j, alpha, beta, gamma)
             count += 1
     assert count == 2 * 2 * (2 + 1 + 2)
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
+def test_induction_evaluates_each_element_of_the_subgroup_once(p, k, monkeypatch):
+    calls = []
+    evaluate = oracle._block_value
+    monkeypatch.setattr(oracle, "_block_value", lambda *args: calls.append(args) or evaluate(*args))
+    gw = wreath_group(p, k, "G")
+    for blocks, order in [
+        next(multi_block_characters(gw)),
+        linear_induction(p, k, base_group(p).islots[0], (k,)),
+    ]:
+        calls.clear()
+        induce(gw, blocks)
+        assert len(calls) == order
+        assert len({(f, sigma) for _, _, f, sigma in calls}) == order
+    assert order == group_order(p, k, "H")
+
+
+def test_verify_suite_releases_its_groups():
+    """No process-wide cache outside `_wreath_cached` keeps a group alive."""
+    oracle._wreath_cached.cache_clear()  # the group below is built afresh
+    verify_suite(3, 2)
+    ref = weakref.ref(wreath_group(3, 2, "G"))
+    oracle._wreath_cached.cache_clear()
+    gc.collect()
+    assert ref() is None
