@@ -24,11 +24,12 @@ from .lr import restriction_expansion, schur_product
 from .partitions import (
     MultiPartition,
     Partition,
+    _core_and_weight,
     _require_odd_prime,
+    _runners,
     check_partition,
     generate_multipartitions,
     generate_partitions,
-    p_core_and_quotient,
 )
 
 
@@ -233,27 +234,51 @@ def blocks(n: int, p: int) -> dict[tuple[Partition, int], list[tuple[Partition, 
     their first member, members in generate_partitions order."""
     _require_odd_prime(p)
     out: dict[tuple[Partition, int], list[tuple[Partition, bool]]] = {}
+    seen: dict[tuple[int, ...], tuple[Partition, int]] = {}
     for lam in generate_partitions(n):
-        key, basic = _abacus(lam, p)
+        key, basic = _abacus(lam, p, seen)
         out.setdefault(key, []).append((lam, basic))
     return out
 
 
-def _abacus(lam: Partition, p: int) -> tuple[tuple[Partition, int], bool]:
-    """The block (core, weight) of lam, and whether its slot-r quotient is empty."""
-    core, quotient, weight = p_core_and_quotient(lam, p)
-    return (core, weight), not quotient[r_slot(p)]
+def _abacus(lam: Partition, p: int, seen: dict) -> tuple[tuple[Partition, int], bool]:
+    """The block (core, weight) of lam, and whether its slot-r quotient is empty.
+
+    The core depends only on the bead count of each runner, and so, among
+    partitions of one size, does the weight (|lam| = |core| + p * weight):
+    `seen` maps count vectors to their block, so it must serve partitions of
+    one n and one p only.  A few hundred count vectors cover the 37,338
+    partitions of 40 at small p.  A block of weight 0 is not stored: its one
+    member is its core, so no other partition of n has its counts, and at
+    p > n every partition is such a block.
+    """
+    runners = _runners(lam, p)
+    counts = tuple(map(len, runners))
+    key = seen.get(counts)
+    if key is None:
+        key = _core_and_weight(runners, p, sum(lam))
+        if key[1]:  # positive weight
+            seen[counts] = key
+    return key, _is_basic(runners[r_slot(p)])
+
+
+def _is_basic(run: list[int]) -> bool:
+    """A runner's quotient component is empty exactly when its c beads fill
+    levels 0..c-1, that is when it is empty or its top bead is at level c - 1."""
+    return not run or run[0] == len(run) - 1
 
 
 def basic_set(n: int, p: int) -> list[Partition]:
-    """Partitions of n flagged basic as in blocks(), in generate_partitions order.
+    """Partitions of n flagged basic as in blocks(), in generate_partitions order;
+    the flag needs only slot r's runner, so no core is computed.
 
     Their count equals the number of partitions of n with no part divisible
     by p, i.e. the number of classes of the symmetric group of order coprime
     to p.
     """
     _require_odd_prime(p)
-    return [lam for lam in generate_partitions(n) if _abacus(lam, p)[1]]
+    mid = r_slot(p)
+    return [lam for lam in generate_partitions(n) if _is_basic(_runners(lam, p)[mid])]
 
 
 def block_partition(n: int, p: int) -> dict[tuple[Partition, int], list[Partition]]:

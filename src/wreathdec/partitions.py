@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 Partition = tuple[int, ...]
 MultiPartition = tuple[Partition, ...]
 
 
 def check_partition(parts) -> Partition:
-    """Validate and normalize a partition given as any iterable of ints."""
-    parts = tuple(int(x) for x in parts)
+    """Validate a partition given as any iterable of ints and return it as a
+    tuple; a part that is not an int (a bool, float or str) is refused."""
+    parts = tuple(parts)
     for i, x in enumerate(parts):
+        if type(x) is not int:
+            raise ValueError(f"partition parts must be ints: {parts!r}")
         if x < 1:
             raise ValueError(f"partition parts must be positive: {parts}")
         if i and parts[i - 1] < x:
@@ -38,21 +41,41 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-def _partitions_bounded(n: int, largest: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions_bounded(n - first, first):
-            yield (first,) + rest
-
-
 @cache
 def generate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, lexicographically decreasing: (n,) first, (1,)*n last."""
+    """All partitions of n, lexicographically decreasing: (n,) first, (1,)*n last.
+
+    Iterative successor rule ZS1 (Zoghbi and Stojmenovic, 1998): lower the
+    last part above 1 by one and refill the parts after it greedily with parts
+    no larger.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(_partitions_bounded(n, n))
+    if n == 0:
+        return ((),)
+    x = [n] + [1] * (n - 1)  # the partition is x[:m]; x[j] == 1 for every j > h
+    m, h = 1, 0  # h indexes the last part above 1
+    out = [(n,)]
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # units to refill: the 1 taken from x[h] and the 1s after it
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t > 1:
+                h += 1
+                x[h] = t
+                t = 0
+            m = h + 1 + t  # t == 1 is a trailing part 1
+        out.append(tuple(x[:m]))
+    return tuple(out)
 
 
 @cache
@@ -89,6 +112,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     """Hook length (arm + leg + 1) of every cell (row, col) of the diagram."""
+    lam = check_partition(lam)
     conj = conjugate(lam)
     return {
         (i, j): lam[i] - j + conj[j] - i - 1
@@ -110,14 +134,19 @@ def beta_numbers(lam: Partition, length: int) -> list[int]:
 
 
 def partition_from_beta(beta) -> Partition:
-    """Inverse of beta_numbers: strip the staircase from a strictly decreasing set."""
+    """Inverse of beta_numbers: strip the staircase from a set of distinct
+    nonnegative ints, in any order."""
     beta = sorted(beta, reverse=True)
-    parts = [b - (len(beta) - 1 - i) for i, b in enumerate(beta)]
-    if any(x < 0 for x in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
+    if (beta and beta[-1] < 0) or any(a == b for a, b in zip(beta, beta[1:])):
         raise ValueError(f"not a valid beta-set: {beta}")
-    return tuple(x for x in parts if x > 0)
+    return _strip(beta)
+
+
+def _strip(beta) -> Partition:
+    """The partition of a strictly decreasing beta-set, unchecked: the i-th
+    bead's height above staircase position len(beta) - 1 - i, when positive."""
+    last = len(beta) - 1
+    return tuple([b - last + i for i, b in enumerate(beta) if b > last - i])
 
 
 class PQuotientResult(NamedTuple):
@@ -126,28 +155,53 @@ class PQuotientResult(NamedTuple):
     weight: int
 
 
+def _runners(lam: Partition, p: int) -> list[list[int]]:
+    """The abacus of lam at p, unchecked: runner q lists the levels b // p of the
+    beads b = q mod p of lam's beta-set, top bead first.  The beta-set has
+    length L, the least multiple of p with L >= len(lam): its len(lam) part
+    beads lie at lam[i] + L - 1 - i, and its L - len(lam) < p staircase beads
+    at 0 .. L - len(lam) - 1, each at level 0 of the runner of its own number."""
+    top = len(lam) - 1 + (-len(lam)) % p  # L - 1
+    runners: list[list[int]] = [[] for _ in range(p)]
+    for i, x in enumerate(lam):
+        b = x + top - i
+        runners[b % p].append(b // p)
+    for q in range(top + 1 - len(lam)):
+        runners[q].append(0)
+    return runners
+
+
+def _core_and_weight(runners: list[list[int]], p: int, size: int) -> tuple[Partition, int]:
+    """Core and weight of the partition of `size` on these runners.  Sliding a
+    bead down one level removes one p-hook, so the core's beta-set holds levels
+    0..c-1 of each runner of c beads, and the weight is the sum of the levels
+    less the sum of c(c-1)/2.  Both depend only on the bead counts and size."""
+    counts = [len(run) for run in runners]
+    core = _strip(sorted((q + p * m for q, c in enumerate(counts) for m in range(c)),
+                         reverse=True))
+    weight = sum(map(sum, runners)) - sum(c * (c - 1) // 2 for c in counts)
+    if sum(core) + p * weight != size:
+        raise RuntimeError(f"abacus lost boxes: core {core}, weight {weight}, "
+                           f"size {size} at p={p}")
+    return core, weight
+
+
 def p_core_and_quotient(lam: Partition, p: int) -> PQuotientResult:
     """Core and quotient of lam with respect to an odd prime p, via the abacus.
 
     Convention: the beta-set has length L = least multiple of p with
     L >= len(lam); runner q in {0..p-1} holds the beads congruent to q mod p,
-    and quotient component q+1 is read off runner q.  Satisfies
+    and quotient component q+1 is read off runner q.  The beads are placed
+    once (_runners); the core and weight are read off the bead counts per
+    runner and the sum of the levels (_core_and_weight), and each runner,
+    a beta-set by construction, is stripped without a check.  Satisfies
     |core| + p * weight = |lam|, and the core has no hook divisible by p.
     """
     _require_odd_prime(p)
-    length = len(lam) + (-len(lam)) % p
-    beta = beta_numbers(lam, length)
-    runners: list[list[int]] = [[] for _ in range(p)]
-    for b in beta:
-        runners[b % p].append(b // p)
-    quotient = tuple(partition_from_beta(r) for r in runners)
-    # sliding every bead down its runner kills all hooks of length p
-    core_beta = [q + p * m for q, r in enumerate(runners) for m in range(len(r))]
-    core = partition_from_beta(core_beta)
-    weight = sum(sum(comp) for comp in quotient)
-    if sum(core) + p * weight != sum(lam):
-        raise RuntimeError(f"abacus lost boxes for {lam} at p={p}")
-    return PQuotientResult(core, quotient, weight)
+    lam = check_partition(lam)
+    runners = _runners(lam, p)
+    core, weight = _core_and_weight(runners, p, sum(lam))
+    return PQuotientResult(core, tuple(map(_strip, runners)), weight)
 
 
 def reconstruct_from_core_quotient(
@@ -156,6 +210,8 @@ def reconstruct_from_core_quotient(
     """The unique partition with the given core and quotient (inverse of
     p_core_and_quotient under the same runner convention)."""
     _require_odd_prime(p)
+    core = check_partition(core)
+    quotient = tuple(map(check_partition, quotient))
     if len(quotient) != p:
         raise ValueError(f"quotient must have {p} components")
     if p_core_and_quotient(core, p).weight != 0:

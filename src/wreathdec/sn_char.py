@@ -13,6 +13,7 @@ from operator import mul
 from .partitions import (
     Partition,
     beta_numbers,
+    check_partition,
     generate_partitions,
     hook_lengths,
     partition_from_beta,
@@ -42,6 +43,9 @@ def _strip_hooks(lam: Partition, t: int) -> list[tuple[int, Partition]]:
 
 @lru_cache(maxsize=None)
 def _mn(lam: Partition, rho: Partition) -> int:
+    """Validated here, so only cache misses pay."""
+    check_partition(lam)
+    check_partition(rho)
     if not rho:
         return 1
     t, rest = rho[0], rho[1:]

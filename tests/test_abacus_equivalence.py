@@ -1,0 +1,101 @@
+"""The bead-count abacus and the iterative partition generator against frozen
+copies of the references they replaced: the recursive generator, and
+p_core_and_quotient built on the validating beta-set strip (one call per
+quotient runner and one for the core).  blocks and basic_set are checked
+against a block grouping built from the frozen abacus, several n and p in one
+process, so a count-vector memo that outlived its call would show."""
+
+from functools import cache
+
+import pytest
+
+from wreathdec.decomp import basic_set, block_partition, blocks, r_slot
+from wreathdec.partitions import generate_partitions, p_core_and_quotient
+
+
+def frozen_partitions_bounded(n, largest):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in frozen_partitions_bounded(n - first, first):
+            yield (first,) + rest
+
+
+@cache
+def frozen_generate_partitions(n):
+    return tuple(frozen_partitions_bounded(n, n))
+
+
+def frozen_beta_numbers(lam, length):
+    padded = lam + (0,) * (length - len(lam))
+    return [padded[i] + length - 1 - i for i in range(length)]
+
+
+def frozen_partition_from_beta(beta):
+    beta = sorted(beta, reverse=True)
+    parts = [b - (len(beta) - 1 - i) for i, b in enumerate(beta)]
+    if any(x < 0 for x in parts) or any(
+        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
+    ):
+        raise ValueError(f"not a valid beta-set: {beta}")
+    return tuple(x for x in parts if x > 0)
+
+
+def frozen_p_core_and_quotient(lam, p):
+    length = len(lam) + (-len(lam)) % p
+    runners = [[] for _ in range(p)]
+    for b in frozen_beta_numbers(lam, length):
+        runners[b % p].append(b // p)
+    quotient = tuple(frozen_partition_from_beta(r) for r in runners)
+    core_beta = [q + p * m for q, r in enumerate(runners) for m in range(len(r))]
+    core = frozen_partition_from_beta(core_beta)
+    weight = sum(sum(comp) for comp in quotient)
+    assert sum(core) + p * weight == sum(lam)
+    return core, quotient, weight
+
+
+def frozen_blocks(n, p):
+    out = {}
+    for lam in frozen_generate_partitions(n):
+        core, quotient, weight = frozen_p_core_and_quotient(lam, p)
+        out.setdefault((core, weight), []).append((lam, not quotient[r_slot(p)]))
+    return out
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_generate_partitions_matches_frozen_recursion(n):
+    assert generate_partitions(n) == frozen_generate_partitions(n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_core_and_quotient_match_frozen_abacus(p):
+    for n in range(23):
+        for lam in frozen_generate_partitions(n):
+            assert p_core_and_quotient(lam, p) == frozen_p_core_and_quotient(lam, p), lam
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_blocks_and_basic_set_match_frozen_abacus(p):
+    for n in range(1, 31):
+        expected = frozen_blocks(n, p)
+        got = blocks(n, p)
+        assert list(got.items()) == list(expected.items()), n
+        assert list(block_partition(n, p).items()) == [
+            (key, [lam for lam, _ in members]) for key, members in expected.items()
+        ]
+        flags = dict(lam_basic for members in expected.values() for lam_basic in members)
+        assert basic_set(n, p) == [lam for lam in frozen_generate_partitions(n) if flags[lam]]
+
+
+def test_blocks_alternating_p_and_n_match_frozen_abacus():
+    # count vectors recur across n: (1,) and (4,) both have counts (2, 1, 0) at p = 3
+    for n, p in [(4, 3), (1, 3), (7, 3), (4, 5), (12, 3), (9, 5), (12, 7), (4, 3)]:
+        assert list(blocks(n, p).items()) == list(frozen_blocks(n, p).items()), (n, p)
+
+
+def test_weight_zero_blocks_at_p_above_n():
+    # every partition of n < p is a p-core: one block of weight 0 each
+    got = blocks(12, 13)
+    assert list(got) == [(lam, 0) for lam in generate_partitions(12)]
+    assert list(got.items()) == list(frozen_blocks(12, 13).items())

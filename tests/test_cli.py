@@ -207,6 +207,26 @@ def test_verify_output_bytes_are_pinned(p, w, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[p, w, fmt]
 
 
+# the first four agree with the blocks/basicset digests in benchmarks/digests.json
+ABACUS_DIGESTS = {
+    ("blocks", "3", "40", "json"): "290eef517a1d008cdb856f58756af71258fceb383b752ba81cd9fb6b19c84338",
+    ("blocks", "3", "40", "csv"): "78e870693a24478dc905739d73bcf955b8cf25123fae061cf50dc656a9605f5b",
+    ("basicset", "7", "40", "json"): "df857d5dbc4baede6d36932690db625d91cdcae915b83342736eb96e4b3c21e0",
+    ("basicset", "7", "40", "csv"): "c4903aa85a6d0558a656cf0ae04e4a24b1803d6cd4e8f4729943d227e97e46af",
+    ("basicset", "13", "20", "json"): "6929d5d209c50e82de278d0c1c10c3da3272d42b6f537e5dafda68852a6d68c5",
+    ("basicset", "13", "20", "csv"): "9e10b2058e2b50a0776cce63b71e65022fd35552b8456d8fba064f140076e459",
+    ("blocks", "5", "25", "json"): "4856296487483ce6d6cf5338585c87f23a3e55db3c90aa7cd849c9a2598be7a8",
+    ("blocks", "5", "25", "csv"): "c0ac568d491e95e69c34e354e16caf0799088523ba8bd3d4fe7ad26386bf1f2e",
+}
+
+
+@pytest.mark.parametrize("command,p,n,fmt", list(ABACUS_DIGESTS))
+def test_abacus_output_bytes_are_pinned(command, p, n, fmt, capsys):
+    code, out = run_cli(capsys, command, "--p", p, "--n", n, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ABACUS_DIGESTS[command, p, n, fmt]
+
+
 def test_verify_weight_two_all_claims_pass(capsys):
     code, out = run_cli(capsys, "verify", "--p", "3", "--w", "2", "--quiet")
     assert code == 0

@@ -244,3 +244,32 @@ def test_check_partition_rejects_garbage():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: p_core_and_quotient((0,), 3), "must be positive"),
+    (lambda: p_core_and_quotient((2, 0), 3), "must be positive"),
+    (lambda: p_core_and_quotient((1, 2), 3), "weakly decreasing"),
+    (lambda: p_core_and_quotient((2.0, 1), 3), "must be ints"),
+    (lambda: reconstruct_from_core_quotient((1, 2), ((), (), ()), 3), "weakly decreasing"),
+    (lambda: reconstruct_from_core_quotient((), ((1,), (0,), ()), 3), "must be positive"),
+    (lambda: reconstruct_from_core_quotient((), ((), (1, 2), ()), 3), "weakly decreasing"),
+], ids=["zero", "trailing_zero", "increasing", "float", "core", "quotient_zero",
+        "quotient_increasing"])
+def test_core_quotient_entry_points_validate(call, message):
+    """Each of these was accepted, or failed only as a bad beta-set, before."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("parts", [(1.5,), (2.0, 1), "21", (True,), (2, False), ("1",)])
+def test_check_partition_rejects_parts_that_are_not_ints(parts):
+    with pytest.raises(ValueError, match="must be ints"):
+        check_partition(parts)
+
+
+def test_parse_partition_rejects_booleans():
+    with pytest.raises(ValueError, match="must be ints"):
+        parse_partition("[true, true]")
+    with pytest.raises(ValueError, match="must be ints"):
+        parse_multipartition("[[1], [true]]")

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from wreathdec.partitions import generate_partitions
+from wreathdec.partitions import generate_partitions, hook_lengths
 from wreathdec.sn_char import (
     _mn,
     centralizer_order,
@@ -96,3 +96,17 @@ def test_cache_is_invisible():
     before = mn_value((3, 2, 1), (2, 2, 1, 1))
     _mn.cache_clear()
     assert mn_value((3, 2, 1), (2, 2, 1, 1)) == before
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: mn_value((1, 2), (3,)), "weakly decreasing"),
+    (lambda: mn_value((3,), (1, 2)), "weakly decreasing"),
+    (lambda: mn_value((2, 0), (2,)), "must be positive"),
+    (lambda: degree((1, 2)), "weakly decreasing"),
+    (lambda: degree((True,)), "must be ints"),
+    (lambda: hook_lengths((1, 2)), "weakly decreasing"),
+], ids=["mn_lam", "mn_rho", "mn_zero", "degree", "degree_bool", "hook_lengths"])
+def test_bad_arguments_raise_value_error(call, message):
+    """mn_value((1, 2), (3,)) returned 0, degree and hook_lengths raised IndexError."""
+    with pytest.raises(ValueError, match=message):
+        call()
