@@ -27,7 +27,7 @@ from .partitions import (
 )
 
 BLOCKS_GUARD = 40
-ABACUS_WORK_GUARD = 4_000_000  # partitions of n times p; measured in the README's Guards
+BLOCKS_PRIME_GUARD = 10**12  # bounds the trial division of the primality test
 KMATRIX_GUARD = 6
 KMATRIX_LABEL_GUARD = 250_000
 GRAM_LABEL_GUARD = 30_000
@@ -142,13 +142,13 @@ def cmd_gram(args) -> int:
 
 
 def _require_block_args(args) -> None:
-    """One abacus per partition of n pads its beta-set to p runners, so the
-    work bound runs before the primality test, a trial division up to sqrt(p)."""
+    """A p above every hook of a partition of n leaves it its own weight-0
+    basic block, found without an abacus, so the abacus work is bounded by n
+    alone.  The primality test, a trial division up to sqrt(p), is then the
+    only cost that grows with p, so a bound on p runs before it."""
     _require(1 <= args.n <= BLOCKS_GUARD, f"n must be in 1..{BLOCKS_GUARD}")
-    work = len(generate_partitions(args.n)) * args.p
-    _require(work <= ABACUS_WORK_GUARD,
-             f"p={args.p}, n={args.n} has {work} abacus runners (partitions of n times p), "
-             f"beyond the guard of {ABACUS_WORK_GUARD}")
+    _require(args.p < BLOCKS_PRIME_GUARD,
+             f"p must be below the guard of {BLOCKS_PRIME_GUARD}, got {args.p}")
     _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
 
 

@@ -244,14 +244,18 @@ def blocks(n: int, p: int) -> dict[tuple[Partition, int], list[tuple[Partition, 
 def _abacus(lam: Partition, p: int, seen: dict) -> tuple[tuple[Partition, int], bool]:
     """The block (core, weight) of lam, and whether its slot-r quotient is empty.
 
-    The core depends only on the bead count of each runner, and so, among
+    A p above lam's first hook lam[0] + len(lam) - 1, which bounds every hook,
+    leaves lam with no p-hook: it is its own core, of weight 0, with an empty
+    quotient, so it is basic and no bead is placed (nor for the empty
+    partition).  Runners are only built when p <= first hook <= |lam|.  The
+    core depends only on the bead count of each runner, and so, among
     partitions of one size, does the weight (|lam| = |core| + p * weight):
     `seen` maps count vectors to their block, so it must serve partitions of
-    one n and one p only.  A few hundred count vectors cover the 37,338
-    partitions of 40 at small p.  A block of weight 0 is not stored: its one
-    member is its core, so no other partition of n has its counts, and at
-    p > n every partition is such a block.
+    one n and one p only.  A block of weight 0 is not stored: its one member
+    is its core, so no other partition of n has its counts.
     """
+    if not lam or p > lam[0] + len(lam) - 1:
+        return (lam, 0), True
     runners = _runners(lam, p)
     counts = tuple(map(len, runners))
     key = seen.get(counts)
@@ -259,26 +263,19 @@ def _abacus(lam: Partition, p: int, seen: dict) -> tuple[tuple[Partition, int], 
         key = _core_and_weight(runners, p, sum(lam))
         if key[1]:  # positive weight
             seen[counts] = key
-    return key, _is_basic(runners[r_slot(p)])
-
-
-def _is_basic(run: list[int]) -> bool:
-    """A runner's quotient component is empty exactly when its c beads fill
-    levels 0..c-1, that is when it is empty or its top bead is at level c - 1."""
-    return not run or run[0] == len(run) - 1
+    run = runners[r_slot(p)]  # slot r is empty when its c beads fill levels 0..c-1
+    return key, not run or run[0] == len(run) - 1
 
 
 def basic_set(n: int, p: int) -> list[Partition]:
-    """Partitions of n flagged basic as in blocks(), in generate_partitions order;
-    the flag needs only slot r's runner, so no core is computed.
-
+    """Partitions of n flagged basic as in blocks(), in generate_partitions
+    order: a view of _abacus, with a count-vector memo local to the call.
     Their count equals the number of partitions of n with no part divisible
     by p, i.e. the number of classes of the symmetric group of order coprime
-    to p.
-    """
+    to p."""
     _require_odd_prime(p)
-    mid = r_slot(p)
-    return [lam for lam in generate_partitions(n) if _is_basic(_runners(lam, p)[mid])]
+    seen: dict = {}
+    return [lam for lam in generate_partitions(n) if _abacus(lam, p, seen)[1]]
 
 
 def block_partition(n: int, p: int) -> dict[tuple[Partition, int], list[Partition]]:

@@ -5,6 +5,7 @@ quotient runner and one for the core).  blocks and basic_set are checked
 against a block grouping built from the frozen abacus, several n and p in one
 process, so a count-vector memo that outlived its call would show."""
 
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -75,17 +76,40 @@ def test_core_and_quotient_match_frozen_abacus(p):
             assert p_core_and_quotient(lam, p) == frozen_p_core_and_quotient(lam, p), lam
 
 
+def assert_blocks_match_frozen(n, p):
+    expected = frozen_blocks(n, p)
+    assert list(blocks(n, p).items()) == list(expected.items()), n
+    assert list(block_partition(n, p).items()) == [
+        (key, [lam for lam, _ in members]) for key, members in expected.items()
+    ]
+    flags = dict(lam_basic for members in expected.values() for lam_basic in members)
+    assert basic_set(n, p) == [lam for lam in frozen_generate_partitions(n) if flags[lam]]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_blocks_and_basic_set_match_frozen_abacus(p):
     for n in range(1, 31):
-        expected = frozen_blocks(n, p)
-        got = blocks(n, p)
-        assert list(got.items()) == list(expected.items()), n
-        assert list(block_partition(n, p).items()) == [
-            (key, [lam for lam, _ in members]) for key, members in expected.items()
-        ]
-        flags = dict(lam_basic for members in expected.values() for lam_basic in members)
-        assert basic_set(n, p) == [lam for lam in frozen_generate_partitions(n) if flags[lam]]
+        assert_blocks_match_frozen(n, p)
+
+
+@pytest.mark.parametrize("p", [13, 17, 19, 23, 29, 31, 37, 41])
+def test_blocks_and_basic_set_match_frozen_abacus_across_the_first_hook(p):
+    # _abacus places no bead when p exceeds lam's first hook lam[0] + len(lam) - 1,
+    # which is at most n: from n = p on, partitions lie on both sides of it
+    for n in range(25):
+        assert_blocks_match_frozen(n, p)
+
+
+def test_blocks_at_large_p_allocate_no_runners():
+    # one runner list per partition at p = 100003 would take several MB
+    for build in (blocks, basic_set):
+        tracemalloc.start()
+        try:
+            build(3, 100003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (build.__name__, peak)
 
 
 def test_blocks_alternating_p_and_n_match_frozen_abacus():

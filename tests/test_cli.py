@@ -23,6 +23,8 @@ from wreathdec.cli import (
 )
 from wreathdec.partitions import (
     format_multipartition,
+    format_partition,
+    generate_partitions,
     parse_multipartition,
     parse_partition,
 )
@@ -217,6 +219,11 @@ ABACUS_DIGESTS = {
     ("basicset", "13", "20", "csv"): "9e10b2058e2b50a0776cce63b71e65022fd35552b8456d8fba064f140076e459",
     ("blocks", "5", "25", "json"): "4856296487483ce6d6cf5338585c87f23a3e55db3c90aa7cd849c9a2598be7a8",
     ("blocks", "5", "25", "csv"): "c0ac568d491e95e69c34e354e16caf0799088523ba8bd3d4fe7ad26386bf1f2e",
+    # p above every hook of every partition of 40, and p = 37 on both sides of it
+    ("blocks", "41", "40", "json"): "9e61014a2ad5893c6c586fffbe760d2ab897a212b48124c00482f7e5533a55d4",
+    ("blocks", "41", "40", "csv"): "889c20b3d76b1d185bbbdfe4be2e9f9cd064020503179ad621e54694b0d59daf",
+    ("basicset", "37", "40", "json"): "b85b626c582bbfb7886cdad03012d8bf1de9d4243e7210331e106067c2d9fe1a",
+    ("basicset", "37", "40", "csv"): "bbf25fdb0184f1da607c493b31c9604ace4cfd776af9d0add9d76af5e764d9fb",
 }
 
 
@@ -343,9 +350,9 @@ def test_guards_admit_the_largest_cases_that_finish(p, w, guard):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("blocks", "--p", "1000000000000000003", "--n", "40"), "has 37338000000000000112014 abacus"),
+    (("blocks", "--p", "1000000000000000003", "--n", "40"), "below the guard of 1000000000000"),
     (("blocks", "--p", "1000000000000000003", "--n", "41"), "n must be in 1..40"),
-    (("basicset", "--p", "1000003", "--n", "40"), "has 37338112014 abacus runners"),
+    (("basicset", "--p", "1000000000039", "--n", "1"), "below the guard of 1000000000000"),
 ])
 def test_abacus_guards_reject_before_the_primality_test(argv, message):
     start = time.monotonic()
@@ -356,17 +363,30 @@ def test_abacus_guards_reject_before_the_primality_test(argv, message):
 @pytest.mark.parametrize("p,n", [
     (3, 40), (7, 40), (13, 20),  # the abacus benchmark cases and --p 13 --n 20
     (107, 40), (709, 30), (6379, 20), (95233, 10), (1999993, 2), (3999971, 1),
+    (999999999989, 40),  # the largest prime below the bound on p
 ])
 def test_abacus_guard_admits_the_largest_cases_that_finish(p, n):
-    """The last six are the largest primes admitted at their n (the README
-    lists their measured time and memory)."""
+    """The abacus benchmark cases and large primes at n from 40 down to 1:
+    n and the bound on p, not their product, limit the abacus work."""
     _require_block_args(argparse.Namespace(p=p, n=n))
 
 
-def test_abacus_guard_refuses_the_next_prime():
-    for p, n in [(109, 40), (719, 30), (4000037, 1)]:
-        with pytest.raises(SystemExit):
-            _require_block_args(argparse.Namespace(p=p, n=n))
+def test_primes_past_every_hook_give_weight_zero_basic_blocks(capsys):
+    """Each p exceeds every hook of every partition of n, so both commands
+    finish quickly, with no abacus, and every partition is its own basic
+    block of weight 0."""
+    for p, n in [(109, 40), (719, 30), (4000037, 1), (1000003, 40)]:
+        lams = [format_partition(lam) for lam in generate_partitions(n)]
+        for command, field, records in [
+            ("blocks", "blocks",
+             [{"core": lam, "weight": 0, "partitions": [lam]} for lam in lams]),
+            ("basicset", "partitions",
+             [{"partition": lam, "core": lam, "weight": 0, "basic": True} for lam in lams]),
+        ]:
+            start = time.monotonic()
+            payload = run_json(capsys, command, "--p", str(p), "--n", str(n))
+            assert time.monotonic() - start < 10.0, (command, p, n)
+            assert payload[field] == records, (command, p, n)
 
 
 def test_kmatrix_at_a_prime_beyond_the_recursion_limit(capsys):
