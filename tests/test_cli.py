@@ -371,22 +371,30 @@ def test_abacus_guard_admits_the_largest_cases_that_finish(p, n):
     _require_block_args(argparse.Namespace(p=p, n=n))
 
 
+def _assert_weight_zero_basic_blocks(capsys, p, n):
+    """p exceeds every hook of every partition of n, so both commands finish
+    quickly, with no abacus, and every partition is its own basic block of
+    weight 0."""
+    lams = [format_partition(lam) for lam in generate_partitions(n)]
+    for command, field, records in [
+        ("blocks", "blocks",
+         [{"core": lam, "weight": 0, "partitions": [lam]} for lam in lams]),
+        ("basicset", "partitions",
+         [{"partition": lam, "core": lam, "weight": 0, "basic": True} for lam in lams]),
+    ]:
+        start = time.monotonic()
+        payload = run_json(capsys, command, "--p", str(p), "--n", str(n))
+        assert time.monotonic() - start < 10.0, (command, p, n)
+        assert payload[field] == records, (command, p, n)
+
+
 def test_primes_past_every_hook_give_weight_zero_basic_blocks(capsys):
-    """Each p exceeds every hook of every partition of n, so both commands
-    finish quickly, with no abacus, and every partition is its own basic
-    block of weight 0."""
-    for p, n in [(109, 40), (719, 30), (4000037, 1), (1000003, 40)]:
-        lams = [format_partition(lam) for lam in generate_partitions(n)]
-        for command, field, records in [
-            ("blocks", "blocks",
-             [{"core": lam, "weight": 0, "partitions": [lam]} for lam in lams]),
-            ("basicset", "partitions",
-             [{"partition": lam, "core": lam, "weight": 0, "basic": True} for lam in lams]),
-        ]:
-            start = time.monotonic()
-            payload = run_json(capsys, command, "--p", str(p), "--n", str(n))
-            assert time.monotonic() - start < 10.0, (command, p, n)
-            assert payload[field] == records, (command, p, n)
+    for p, n in [(109, 40), (719, 30), (4000037, 1)]:
+        _assert_weight_zero_basic_blocks(capsys, p, n)
+
+
+def test_p_1000003_n_40_gives_weight_zero_basic_blocks(capsys):
+    _assert_weight_zero_basic_blocks(capsys, 1000003, 40)
 
 
 def test_kmatrix_at_a_prime_beyond_the_recursion_limit(capsys):
