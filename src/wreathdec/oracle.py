@@ -2,20 +2,24 @@
 
 Everything the label-level engine computes by formula is recomputed here the
 hard way: the base groups are materialized as explicit element tables, the
-wreath products as explicit element sets, conjugacy classes are conjugation
-orbits closed under a generating set (checked against cycle labels), induced
-characters are class sums over y in c ∩ K, the inducing subgroup K enumerated
-from its blocks, and every multiplicity is an exact inner product of class
-functions.  Agreement between the two routes is the whole point of this module.
+wreath products as explicit element sets numbered by int ids, conjugacy
+classes are conjugation orbits closed under a generating set (checked against
+cycle labels), induced characters are class sums over y in c ∩ K, the
+inducing subgroup K enumerated from its blocks, and every multiplicity is an
+exact inner product of class functions.  Every character value is a monomial
+c * z^k, so class sums and inner products are taken in the group ring of the
+cyclic group of order p - 1 and reduced to the cyclotomic field once.
+Agreement between the two routes is the whole point of this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple, Optional
 
 from . import decomp
@@ -66,46 +70,55 @@ def index_exponents(p: int) -> dict[int, int]:
 class BaseGroup:
     """A small concrete group: explicit elements, multiplication, inversion,
     a generating set, and the full set of irreducible character value tables
-    (in slot order)."""
+    (in slot order), each also given in monomial form: c * z^k as the pair
+    (c, k), with z a primitive `value_order`-th root of unity.  The elements
+    are numbered in order, and int multiplication and inverse tables act on
+    those numbers."""
 
-    def __init__(self, name, elements, identity, mult, inv, irr, value_order, generators):
+    def __init__(self, name, elements, identity, mult, inv, irr, value_order, generators,
+                 monomials=()):
         self.name = name
         self.elements = tuple(elements)
         self.identity = identity
         self.mult = mult
         self.inv = inv
         self.irr = irr
+        self.monomials = monomials
         self.value_order = value_order
         self.generators = tuple(generators)
-        index = {e: i for i, e in enumerate(self.elements)}
-        reps, members, assigned = _orbits(self.elements, index, mult, inv, self.generators)
-        self.class_reps = tuple(reps)
+        self.index = index = {e: i for i, e in enumerate(self.elements)}
+        self.mul_table = mul = [[index[mult(x, y)] for y in self.elements] for x in self.elements]
+        self.inv_table = [index[inv(x)] for x in self.elements]
+        conj = [[mul[mul[index[s]][j]][index[inv(s)]] for j in range(len(mul))]
+                for s in self.generators]
+        reps, members, assigned = _orbits(len(mul), lambda j: [c[j] for c in conj])
+        self.class_reps = tuple(self.elements[i] for i in reps)
         self.class_sizes = tuple(map(len, members))
+        self.class_of_index = tuple(assigned)
         self.class_of = dict(zip(self.elements, assigned))
 
 
-def _orbits(elements, index, mult, inv, generators):
-    """Conjugacy classes as orbits closed breadth-first under conjugation by
-    the generators.  Elements are scanned in order and each unassigned one
-    represents a new class.  Returns the representatives, the member index
-    lists and the class of every element.  The generators must generate the
-    group: at w = 1 the wreath check compares this routine with itself (on the
-    base group's generators), so only the tests catch a wrong generating set."""
-    conj = [(s, inv(s)) for s in generators]
-    assigned = [-1] * len(elements)
+def _orbits(size, conjugates):
+    """Conjugacy classes of the elements 0..size-1 as orbits closed
+    breadth-first under `conjugates`, which lists the conjugates of an element
+    by each generator.  Elements are scanned in order and each unassigned one
+    represents a new class.  Returns the representatives, the member lists
+    and the class of every element, all as element numbers.  The generators must generate the group:
+    at w = 1 the wreath check compares this routine with itself (on the base
+    group's generators), so only the tests catch a wrong generating set."""
+    assigned = [-1] * size
     reps, members = [], []
-    for i, g in enumerate(elements):
+    for i in range(size):
         if assigned[i] >= 0:
             continue
         assigned[i] = c = len(reps)
         orbit = [i]
         for j in orbit:  # the list grows while it is walked
-            for s, si in conj:
-                k = index[mult(mult(s, elements[j]), si)]
+            for k in conjugates(j):
                 if assigned[k] < 0:
                     assigned[k] = c
                     orbit.append(k)
-        reps.append(g)
+        reps.append(i)
         members.append(orbit)
     return reps, members, assigned
 
@@ -128,7 +141,8 @@ def supported_p(p: int) -> bool:
 def base_group(p: int) -> BasePair:
     """The order-p(p-1) base group (a cyclic normal subgroup of order p acted
     on faithfully by a cyclic group of order p-1) and its order-(p-1)
-    complement, with all irreducible character values as exact cyclotomics.
+    complement, with all irreducible character values as exact cyclotomics
+    and, from the same formulas, as monomials.
 
     Elements of the big group are pairs (a, b) with a mod p, b mod p-1 and
     (a1,b1)(a2,b2) = (a1 + g^b1 * a2, b1 + b2) for the smallest primitive
@@ -152,23 +166,25 @@ def base_group(p: int) -> BasePair:
 
     g_elements = [(a, b) for a in range(p) for b in range(m)]
     zeta = [root_of_unity(m, k) for k in range(m)]
-    g_irr = []
+    g_irr, g_mono = [], []
     for i in range(1, p + 1):
         if i == r:
-            table = {
-                (a, b): Cyclotomic.from_rational(m, p - 1 if (a, b) == (0, 0) else (-1 if b == 0 else 0))
-                for (a, b) in g_elements
-            }
+            heavy = {(a, b): p - 1 if (a, b) == (0, 0) else (-1 if b == 0 else 0)
+                     for (a, b) in g_elements}
+            g_irr.append({x: Cyclotomic.from_rational(m, c) for x, c in heavy.items()})
+            g_mono.append({x: (c, 0) for x, c in heavy.items()})
         else:
             e = exps[i]
-            table = {(a, b): zeta[e * b % m] for (a, b) in g_elements}
-        g_irr.append(table)
-    G = BaseGroup("G", g_elements, (0, 0), gmult, ginv, tuple(g_irr), m, [(1, 0), (0, 1)])
+            g_irr.append({(a, b): zeta[e * b % m] for (a, b) in g_elements})
+            g_mono.append({(a, b): (1, e * b % m) for (a, b) in g_elements})
+    G = BaseGroup("G", g_elements, (0, 0), gmult, ginv, tuple(g_irr), m, [(1, 0), (0, 1)],
+                  tuple(g_mono))
 
     h_elements = list(range(m))
     h_irr = tuple({b: zeta[exps[i] * b % m] for b in h_elements} for i in islots)
+    h_mono = tuple({b: (1, exps[i] * b % m) for b in h_elements} for i in islots)
     H = BaseGroup(
-        "H", h_elements, 0, lambda x, y: (x + y) % m, lambda x: (-x) % m, h_irr, m, [1]
+        "H", h_elements, 0, lambda x, y: (x + y) % m, lambda x: (-x) % m, h_irr, m, [1], h_mono
     )
     return BasePair(p, r, islots, g, G, H)
 
@@ -210,29 +226,127 @@ def _cycle_products(base: BaseGroup, f, sigma) -> list:
     return [reduce(base.mult, (f[i] for i in cyc)) for cyc in cycles]
 
 
+def _cycle_product_ids(mul, f, cycles) -> list[int]:
+    """`_cycle_products` on element numbers: f holds base-element numbers and
+    mul is the base group's multiplication table."""
+    out = []
+    for cyc in cycles:
+        x = f[cyc[0]]
+        for i in cyc[1:]:
+            x = mul[x][f[i]]
+        out.append(x)
+    return out
+
+
+def _monomial(mul, table, lam: Partition, f, sigma) -> tuple[int, int]:
+    """The value c * z^k, as (c, k), at (f, sigma) of a base character
+    tensored with the symmetric-group character lam: a product of base values
+    at the cycle products times the character value at the cycle type.  f
+    holds base-element numbers, all in the table's domain, and `table` lists
+    the base character's monomials by element number."""
+    cycles, ctype = perm_cycles(sigma)
+    coef, exp = mn_value(lam, ctype), 0
+    for x in _cycle_product_ids(mul, f, cycles):
+        c, e = table[x]
+        coef *= c
+        exp += e
+    return coef, exp
+
+
+def _cyclotomic(m: int, coef: int, exp: int) -> Cyclotomic:
+    """The monomial coef * z_m^exp as a canonical cyclotomic."""
+    return Cyclotomic(m, [0] * exp + [coef])
+
+
+def _by_number(base: BaseGroup, table) -> list:
+    """A monomial table keyed by base element, listed by element number
+    (None off the table's domain)."""
+    return [table.get(x) for x in base.elements]
+
+
 class ClassData(NamedTuple):
     label: MultiPartition
     representative: tuple
     size: int
 
 
+class _Elements(Sequence):
+    """The elements of a wreath group in id order, decoded on demand."""
+
+    def __init__(self, group: "WreathGroup"):
+        self._group = group
+
+    def __len__(self):
+        return self._group.order
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self._group._decode(range(len(self))[i])
+
+
+class _Index(Mapping):
+    """The id of each element of a wreath group, encoded on demand."""
+
+    def __init__(self, group: "WreathGroup"):
+        self._group = group
+
+    def __len__(self):
+        return self._group.order
+
+    def __getitem__(self, elem):
+        return self._group._encode(elem)
+
+    def __iter__(self):
+        return iter(self._group.elements)
+
+
 class WreathGroup:
     """A wreath product of a concrete base group with a symmetric group,
     fully enumerated.  Elements are pairs (f, sigma) with f a w-tuple of base
-    elements and sigma a permutation acting on coordinates."""
+    elements and sigma a permutation acting on coordinates.
+
+    Element (f, sigma) has the id f_rank * w! + perm_rank, where f_rank reads
+    the base-element numbers of f as mixed-radix digits (coordinate 0 most
+    significant) and perm_rank is the lexicographic rank of sigma, so ids
+    follow the order of `elements`.  Classes are built on ids; `elements` and
+    `index` decode and encode them on demand."""
 
     def __init__(self, base: BaseGroup, w: int):
         self.base = base
         self.w = w
-        self.order = len(base.elements) ** w * factorial(w)
-        perms = tuple(permutations(range(w)))
-        self.elements = tuple(
-            (f, s) for f in product(base.elements, repeat=w) for s in perms
-        )
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self._perms = tuple(permutations(range(w)))
+        self._perm_rank = {s: i for i, s in enumerate(self._perms)}
+        self.order = len(base.elements) ** w * len(self._perms)
+        self.elements = _Elements(self)
+        self.index = _Index(self)
         self.identity = ((base.identity,) * w, tuple(range(w)))
         self._char_cache: dict[MultiPartition, "ClassFunction"] = {}
         self._build_classes(self._generators())
+
+    def _split(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Base-element numbers and permutation of the element with id j."""
+        n = len(self.base.elements)
+        f, s = divmod(j, len(self._perms))
+        digits = []
+        for _ in range(self.w):
+            f, d = divmod(f, n)
+            digits.append(d)
+        return tuple(reversed(digits)), self._perms[s]
+
+    def _decode(self, j: int):
+        digits, sigma = self._split(j)
+        return tuple(self.base.elements[d] for d in digits), sigma
+
+    def _encode(self, elem) -> int:
+        f, sigma = elem
+        if len(f) != self.w:
+            raise KeyError(elem)
+        n, index = len(self.base.elements), self.base.index
+        rank = 0
+        for x in f:
+            rank = rank * n + index[x]
+        return rank * len(self._perms) + self._perm_rank[sigma]
 
     def mult(self, x, y):
         f, s = x
@@ -271,19 +385,87 @@ class WreathGroup:
             gens += [((e,) * w, (1, 0) + ident[2:]), ((e,) * w, ident[1:] + (0,))]
         return list(dict.fromkeys(gens))
 
+    def _conjugates(self, generators):
+        """Conjugation by each generator as a map on ids.  Conjugating (f,
+        sigma) by a permutation pi gives (f o pi^-1, pi sigma pi^-1): one map
+        on f-ranks and one on perm ranks.  Conjugating by b in coordinate 0
+        multiplies coordinate 0 by b on the left and coordinate sigma(0) by
+        b^-1 on the right: one map on f-ranks for each value of sigma(0)."""
+        base, w, nperms = self.base, self.w, len(self._perms)
+        n, mul, inv = len(base.elements), base.mul_table, base.inv_table
+        weights = [n ** (w - 1 - i) for i in range(w)]
+        f_digits = list(product(range(n), repeat=w))
+        e = base.index[base.identity]
+
+        def rank(d):
+            return sum(x * wt for x, wt in zip(d, weights))
+
+        perm_maps, base_maps = [], []
+        for f, sigma in generators:
+            f = [base.index[x] for x in f]
+            if all(x == e for x in f):
+                pinv = _inv_perm(sigma)
+                f_map = [rank([d[i] for i in pinv]) for d in f_digits]
+                p_map = [self._perm_rank[tuple(sigma[s[i]] for i in pinv)] for s in self._perms]
+                perm_maps.append((f_map, p_map))
+            elif sigma == tuple(range(w)) and all(x == e for x in f[1:]):
+                b, bi = f[0], inv[f[0]]
+                maps = []
+                for c in range(w):  # c = sigma(0)
+                    row = []
+                    for d in f_digits:
+                        d = list(d)
+                        d[0] = mul[b][d[0]]
+                        d[c] = mul[d[c]][bi]
+                        row.append(rank(d))
+                    maps.append(row)
+                base_maps.append(maps)
+            else:
+                raise ValueError(f"generator {(f, sigma)} is neither a permutation "
+                                 "nor a base element in coordinate 0")
+        first = [s[0] for s in self._perms] if base_maps else []
+
+        def conjugates(j):
+            f, s = divmod(j, nperms)
+            out = [f_map[f] * nperms + p_map[s] for f_map, p_map in perm_maps]
+            out += [maps[first[s]][f] * nperms + s for maps in base_maps]
+            return out
+
+        return conjugates
+
     def _build_classes(self, generators):
-        reps, members, assigned = _orbits(self.elements, self.index, self.mult, self.inv, generators)
-        labels = [self.class_label(e) for e in self.elements]
-        label_partition = {}
-        for i, lab in enumerate(labels):
-            label_partition.setdefault(lab, set()).add(i)
-        if set(map(frozenset, members)) != set(map(frozenset, label_partition.values())):
+        reps, members, assigned = _orbits(self.order, self._conjugates(generators))
+        # the orbits must be the classes of cycle labels: each label (keyed by
+        # its sorted (cycle length, base class) pairs) lies in one orbit, and
+        # there are as many labels as orbits
+        base = self.base
+        mul, base_class = base.mul_table, base.class_of_index
+        cycle_lists = [perm_cycles(s)[0] for s in self._perms]
+        label_class: dict[tuple, int] = {}
+        ids = iter(assigned)
+        for f in product(range(len(base.elements)), repeat=self.w):
+            for cycles in cycle_lists:
+                key = tuple(sorted(
+                    (len(cyc), base_class[x])
+                    for cyc, x in zip(cycles, _cycle_product_ids(mul, f, cycles))
+                ))
+                c = next(ids)
+                if label_class.setdefault(key, c) != c:
+                    raise RuntimeError("conjugation orbits disagree with cycle structures")
+        if len(label_class) != len(reps):
             raise RuntimeError("conjugation orbits disagree with cycle structures")
-        self.class_reps = tuple(reps)
+        labels = [None] * len(reps)
+        for key, c in label_class.items():
+            parts: list[list[int]] = [[] for _ in base.class_reps]
+            for length, b in key:
+                parts[b].append(length)
+            labels[c] = tuple(tuple(sorted(ps, reverse=True)) for ps in parts)
+        self.class_reps = tuple(self._decode(i) for i in reps)
         self.class_sizes = tuple(map(len, members))
-        self.class_labels = tuple(labels[self.index[rep]] for rep in reps)
+        self.class_labels = tuple(labels)
         self.class_of_index = tuple(assigned)
         self._class_members = members
+        self._rep_ids = tuple(reps)
 
     def class_of(self, elem) -> int:
         return self.class_of_index[self.index[elem]]
@@ -347,57 +529,79 @@ class ClassFunction:
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     """Exact inner product: the class-size-weighted sum of a * conj(b) over
-    classes, divided by the group order.  Must come out rational."""
+    classes, divided by the group order.  Must come out rational.  The sum is
+    taken in the group ring of the order-m cyclic group, one coefficient per
+    power of the root z (z^i times conj(z^j) is z^(i-j)), and reduced to the
+    field once."""
     if a.group is not b.group:
         raise ValueError("class functions live on different groups")
-    total = Cyclotomic(a.group.base.value_order)
+    m = a.group.base.value_order
+    total = [0] * m
     for size, x, y in zip(a.group.class_sizes, a.values, b.values):
-        total = total + x * y.conjugate() * size
-    return total.as_rational() / a.group.order
+        ys = [(j, v) for j, v in enumerate(y.coeffs) if v]
+        for i, u in enumerate(x.coeffs):
+            if u:
+                u *= size
+                for j, v in ys:
+                    total[(i - j) % m] += u * v
+    return Cyclotomic(m, total).as_rational() / a.group.order
 
 
-def _tilde_value(base: BaseGroup, base_values, lam: Partition, f, sigma):
-    """Value at (f, sigma) of the extension-style character built from a base
-    character table tensored with a symmetric-group character: a product of
-    base values at the cycle products times the character value at the cycle
-    type.  Every coordinate of f must lie in the table's domain."""
-    val = 1
-    for prod in _cycle_products(base, f, sigma):
-        val = val * base_values[prod]
-    return val * mn_value(lam, perm_cycles(sigma)[1])
-
-
-def _block_value(base: BaseGroup, blocks, f, sigma):
-    """Value at (f, sigma) of the outer tensor product over consecutive blocks
-    (start, size, table, lam); sigma must permute each block's letters."""
-    val = 1
-    for start, size, base_values, lam in blocks:
-        sub_sigma = tuple(s - start for s in sigma[start : start + size])
-        val = val * _tilde_value(base, base_values, lam, f[start : start + size], sub_sigma)
-    return val
+def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partition) -> list:
+    """One (id part, coef, exp) per element of one block's factor of the
+    block subgroup K: every coordinate start..start+size-1 ranges over the
+    table's domain and the block's letters are permuted among themselves.
+    Both the f-rank and the perm rank of an element of K are sums over its
+    blocks (a block's Lehmer digits count only its own letters), so the id of
+    an element of K is the sum of its blocks' id parts, and its value the
+    product of their monomials."""
+    base, w, nperms = group.base, group.w, len(group._perms)
+    n, m, mul = len(base.elements), base.value_order, base.mul_table
+    mono = _by_number(base, table)
+    domain = [x for x, v in enumerate(mono) if v is not None]
+    f_parts = [(0, ())]
+    for t in range(start, start + size):
+        weight = n ** (w - 1 - t) * nperms
+        f_parts = [(v + x * weight, f + (x,)) for v, f in f_parts for x in domain]
+    entries = []
+    for sigma in permutations(range(size)):
+        perm_part = sum(
+            sum(sigma[u] < sigma[t] for u in range(t + 1, size)) * factorial(w - 1 - start - t)
+            for t in range(size)
+        )
+        if not mn_value(lam, perm_cycles(sigma)[1]):
+            entries += [(v + perm_part, 0, 0) for v, _ in f_parts]
+            continue
+        for v, f in f_parts:
+            c, e = _monomial(mul, mono, lam, f, sigma)
+            entries.append((v + perm_part, c, e % m))
+    return entries
 
 
 def induce(group: WreathGroup, blocks) -> ClassFunction:
     """Induction of the block character from the block subgroup K by class
     sums: the value on a class c is |G| / (|K| |c|) times the sum of the
     block character over c ∩ K, since conjugating by all of G hits each
-    member of c |G| / |c| times.  K is enumerated from the blocks (in each,
-    every coordinate ranges over the table's keys and the letters are
-    permuted among themselves), and |K| is counted on the way."""
-    per_block = [
-        [(f, tuple(start + s for s in sigma))
-         for f in product(table, repeat=size) for sigma in permutations(range(size))]
-        for start, size, table, _ in blocks
-    ]
-    sums = [Cyclotomic(group.base.value_order)] * len(group.class_reps)
-    sub_order = 0
-    for parts in product(*per_block):
-        f, sigma = (sum(xs, ()) for xs in zip(*parts))
-        c = group.class_of_index[group.index[f, sigma]]
-        sums[c] = sums[c] + _block_value(group.base, blocks, f, sigma)
-        sub_order += 1
+    member of c |G| / |c| times.  K is enumerated from the blocks (start,
+    size, monomial table, lam): in each, every coordinate ranges over the
+    table's keys and the letters are permuted among themselves.  The class
+    sums are taken in the group ring of the order-m cyclic group, one int per
+    power of the root, and reduced to the field once per class."""
+    m = group.base.value_order
+    per_block = [_block_entries(group, *block) for block in blocks]
+    sub_order = prod(map(len, per_block))
+    *head, last = [[entry for entry in entries if entry[1]] for entries in per_block]
+    partial = [(0, 1, 0)]
+    for entries in head:
+        partial = [(i + j, c * d, (e + k) % m) for i, c, e in partial for j, d, k in entries]
+    cls = group.class_of_index
+    sums = [[0] * m for _ in group.class_reps]
+    for i, c, e in partial:
+        for j, d, k in last:
+            sums[cls[i + j]][(e + k) % m] += c * d
     return ClassFunction(group, [
-        acc * Fraction(group.order, sub_order * size) for acc, size in zip(sums, group.class_sizes)
+        Cyclotomic(m, [x * Fraction(group.order, sub_order * size) for x in row])
+        for row, size in zip(sums, group.class_sizes)
     ])
 
 
@@ -420,11 +624,18 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     for slot, lam in enumerate(label):
         size = sum(lam)
         if size:
-            blocks.append((start, size, group.base.irr[slot], lam))
+            blocks.append((start, size, group.base.monomials[slot], lam))
             start += size
-    if len(blocks) <= 1:
-        chi = ClassFunction(
-            group, [_block_value(group.base, blocks, *rep) for rep in group.class_reps])
+    if not blocks:
+        chi = ClassFunction(group, [1] * len(group.class_reps))
+    elif len(blocks) == 1:
+        (_, _, table, lam), = blocks
+        base = group.base
+        mono = _by_number(base, table)
+        chi = ClassFunction(group, [
+            _cyclotomic(base.value_order, *_monomial(base.mul_table, mono, lam, *group._split(j)))
+            for j in group._rep_ids
+        ])
     else:
         chi = induce(group, blocks)
     if inner_product(chi, chi) != 1:
@@ -474,7 +685,7 @@ def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
     product, embedded coordinate-wise, up to the big one on the same letters.
     The i-th linear complement character is moved onto the embedded
     complement, so its keys make the block subgroup the small wreath product."""
-    theta = {(0, b): v for b, v in pair.H.irr[pair.islots.index(i)].items()}
+    theta = {(0, b): v for b, v in pair.H.monomials[pair.islots.index(i)].items()}
     return induce(gw, [(0, gw.w, theta, alpha)])
 
 
@@ -644,17 +855,23 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
     pair = base_group(p)
     gw = wreath_group(p, w, "G", guard)
     hw = wreath_group(p, w, "H", guard)
+    m = p - 1
     out = []
     lams = generate_partitions(w)
+    mul_g, mul_h = gw.base.mul_table, hw.base.mul_table
+    embed = [gw.base.index[(0, b)] for b in hw.base.elements]
+    h_elems = [hw._split(j) for j in range(hw.order)]
     for i in pair.islots:
-        slot = pair.islots.index(i)
+        big_table = _by_number(gw.base, pair.G.monomials[i - 1])
+        small_table = _by_number(hw.base, pair.H.monomials[pair.islots.index(i)])
         ok = True
-        for elem in hw.elements:
-            f, sigma = _embed_h(elem)
+        for f, sigma in h_elems:
+            big_f = [embed[x] for x in f]
             for lam in lams:
-                big = _tilde_value(gw.base, pair.G.irr[i - 1], lam, f, sigma)
-                small = _tilde_value(hw.base, pair.H.irr[slot], lam, elem[0], sigma)
-                ok = ok and big == small
+                # c z^k = -c z^(k + m/2), so monomials compare as cyclotomics
+                big = _monomial(mul_g, big_table, lam, big_f, sigma)
+                small = _monomial(mul_h, small_table, lam, f, sigma)
+                ok = ok and (big == small or _cyclotomic(m, *big) == _cyclotomic(m, *small))
         out.append(
             _claim(
                 "linear_extension_agrees_on_complement",
@@ -663,14 +880,15 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
                 ok,
             )
         )
-    psi_r = pair.G.irr[pair.r - 1]
+    psi_r = _by_number(gw.base, pair.G.monomials[pair.r - 1])
+    identity = gw.base.index[(0, 0)]
     trivial = (w,) if w else ()
     ok = True
-    for elem in hw.elements:
-        f, sigma = _embed_h(elem)
-        got = _tilde_value(gw.base, psi_r, trivial, f, sigma)
-        prods = gw.cycle_products((f, sigma))
-        expected = (p - 1) ** len(prods) if all(x == (0, 0) for x in prods) else 0
+    for f, sigma in h_elems:
+        big_f = [embed[x] for x in f]
+        got = _cyclotomic(m, *_monomial(mul_g, psi_r, trivial, big_f, sigma))
+        prods = _cycle_product_ids(mul_g, big_f, perm_cycles(sigma)[0])
+        expected = (p - 1) ** len(prods) if all(x == identity for x in prods) else 0
         ok = ok and got == expected
     out.append(_claim("heavy_extension_closed_form", {"p": p, "w": w}, True, ok))
     return out

@@ -195,6 +195,7 @@ VERIFY_DIGESTS = {
     ("3", "2", "csv"): "8638fc1cf03c755bcc8c07b7ddf9eb2511815a5eedd6a1b274fcb2e5fcbe45d3",
     ("3", "3", "json"): "d6eb5696477ab1a9f026e3006331dbc76172a9eb426e5a3a0a54593ad77b26b1",
     ("3", "3", "csv"): "1471c63361e2432dcb1ce6a65899b3a8191dbca8c4591f22cac0849db1cf1191",
+    ("3", "4", "json"): "22dc16a7b7d9771d77ad4fc236aa22eac708341cb797e056a611089b6ee65261",
     ("5", "2", "json"): "ab59181415ab8edaef1a9b340c41a8a73025b79f2a60336c7bfc4a93ee134170",
     ("5", "2", "csv"): "945a6c50294eb225e4fc682b90874114f29718efbb947ffbdc57c14c53d3d9c6",
     ("7", "1", "json"): "1f7c4ccb8f0c22e058ba0ec1b85bdb9794421bf7c46960436694c059deb700dc",

@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -293,3 +296,25 @@ def test_verify_suite_at_p7_weight_two():
     claims = verify_suite(7, 2)
     assert len(claims) == 163
     all_pass(claims)
+
+
+def test_verify_suite_at_p3_weight_four():
+    claims = verify_suite(3, 4)
+    assert len(claims) == 325
+    all_pass(claims)
+
+
+ENUMERATION_3_4_DIGEST = "a12e2079e28a4d5671c28dfd800a753e7ef1674849329b39291445b51d8e5780"
+
+
+def test_enumeration_bytes_match_the_benchmark_digest(capsys):
+    """The benchmark's enumeration case, `enumerate_classes.py 3 4`, run in
+    process: its JSON text is pinned to the digest the benchmark gates on."""
+    root = Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location("enumerate_classes", root / "enumerate_classes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["3", "4"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_3_4_DIGEST
+    assert json.loads((root / "digests.json").read_text())["enumerate 3 4"] == ENUMERATION_3_4_DIGEST

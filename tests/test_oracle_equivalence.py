@@ -12,23 +12,33 @@ The Mackey claims once induced their right-hand sides block by block, the
 heavy block (slot r) first; they now read the irreducible of the split
 label from `parametrized_character`, which orders blocks by slot.  The
 frozen two-block inductions pin that label's slots.
+
+The oracle now also numbers elements by int ids, closes orbits under int
+conjugation maps, and sums values as monomials in the group ring of the
+cyclic group of order p - 1.  The tuple-level class build and the
+cyclotomic inner product it replaced are frozen here too, and the blocks
+below carry each base table in both forms: the cyclotomic one for the
+frozen references, the monomial one for the oracle.
 """
 
 import gc
 import weakref
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 import pytest
 
 from wreathdec import oracle
-from wreathdec.cyclotomic import Cyclotomic
+from wreathdec.cyclotomic import Cyclotomic, root_of_unity
 from wreathdec.oracle import (
     BaseGroup,
     ClassFunction,
     WreathGroup,
+    _block_entries,
     _cycle_products,
+    _cyclotomic,
     _split_label,
     base_group,
     group_order,
@@ -44,6 +54,81 @@ from wreathdec.partitions import generate_multipartitions, generate_partitions
 from wreathdec.sn_char import mn_value
 
 CASES = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+def frozen_mult(group, x, y):
+    f, s = x
+    f2, t = y
+    sinv = [0] * group.w
+    for i, v in enumerate(s):
+        sinv[v] = i
+    bm = group.base.mult
+    return (
+        tuple(bm(f[i], f2[sinv[i]]) for i in range(group.w)),
+        tuple(s[t[i]] for i in range(group.w)),
+    )
+
+
+def frozen_inv(group, x):
+    f, s = x
+    sinv = [0] * group.w
+    for i, v in enumerate(s):
+        sinv[v] = i
+    return (tuple(group.base.inv(f[s[j]]) for j in range(group.w)), tuple(sinv))
+
+
+def frozen_orbits(elements, index, mult, inv, generators):
+    """Orbits closed breadth-first under conjugation by the generators, on
+    element tuples: (reps, member index lists, class of every element)."""
+    conj = [(s, inv(s)) for s in generators]
+    assigned = [-1] * len(elements)
+    reps, members = [], []
+    for i, g in enumerate(elements):
+        if assigned[i] >= 0:
+            continue
+        assigned[i] = c = len(reps)
+        orbit = [i]
+        for j in orbit:
+            for s, si in conj:
+                k = index[mult(mult(s, elements[j]), si)]
+                if assigned[k] < 0:
+                    assigned[k] = c
+                    orbit.append(k)
+        reps.append(g)
+        members.append(orbit)
+    return reps, members, assigned
+
+
+def frozen_build_classes(group):
+    """The tuple-level class build: (reps, sizes, labels, class_of_index)."""
+    base, w = group.base, group.w
+    elements = tuple(
+        (f, s) for f in product(base.elements, repeat=w) for s in permutations(range(w))
+    )
+    index = {e: i for i, e in enumerate(elements)}
+    e, ident = base.identity, tuple(range(w))
+    gens = [((b,) + (e,) * (w - 1), ident) for b in base.generators] if w else []
+    if w >= 2:
+        gens += [((e,) * w, (1, 0) + ident[2:]), ((e,) * w, ident[1:] + (0,))]
+    reps, members, assigned = frozen_orbits(
+        elements, index, lambda x, y: frozen_mult(group, x, y),
+        lambda x: frozen_inv(group, x), list(dict.fromkeys(gens)),
+    )
+    labels = [frozen_class_label(group, x) for x in elements]
+    label_partition = {}
+    for i, lab in enumerate(labels):
+        label_partition.setdefault(lab, set()).add(i)
+    if set(map(frozenset, members)) != set(map(frozenset, label_partition.values())):
+        raise RuntimeError("conjugation orbits disagree with cycle structures")
+    return (tuple(reps), tuple(map(len, members)),
+            tuple(labels[index[rep]] for rep in reps), tuple(assigned))
+
+
+def frozen_inner_product(a, b):
+    total = Cyclotomic(a.group.base.value_order)
+    for size, x, y in zip(a.group.class_sizes, a.values, b.values):
+        total = total + x * y.conjugate() * size
+    return total.as_rational() / a.group.order
 
 
 def frozen_class_label(group, elem):
@@ -92,6 +177,11 @@ def frozen_tilde_value(base, base_values, lam, f, sigma):
     return val * mn_value(lam, perm_cycles(sigma)[1])
 
 
+def oracle_blocks(blocks):
+    """The blocks as the oracle takes them, with monomial tables."""
+    return [(start, size, mono, lam) for start, size, _, mono, lam in blocks]
+
+
 def frozen_block_chi0(group, blocks):
     """Pointwise values of an outer tensor product over consecutive blocks,
     zero (None) off the block-product subgroup."""
@@ -99,7 +189,7 @@ def frozen_block_chi0(group, blocks):
     def chi0(elem):
         f, sigma = elem
         val = 1
-        for start, size, base_values, lam in blocks:
+        for start, size, base_values, _, lam in blocks:
             if any(not start <= sigma[start + i] < start + size for i in range(size)):
                 return None
             sub_sigma = tuple(sigma[start + i] - start for i in range(size))
@@ -181,11 +271,12 @@ def multi_block_characters(group):
         blocks, start = [], 0
         for slot, lam in enumerate(label):
             if lam:
-                blocks.append((start, sum(lam), group.base.irr[slot], lam))
+                base = group.base
+                blocks.append((start, sum(lam), base.irr[slot], base.monomials[slot], lam))
                 start += sum(lam)
         if len(blocks) >= 2:
             order = len(group.base.elements) ** group.w
-            for _, size, _, _ in blocks:
+            for _, size, *_ in blocks:
                 order *= factorial(size)
             yield blocks, order
 
@@ -194,8 +285,10 @@ def linear_induction(p, k, i, alpha):
     """(blocks, subgroup order) of the induction of (i-th linear extension) x
     (alpha) from the small wreath product on k letters."""
     pair = base_group(p)
-    theta = {(0, b): v for b, v in pair.H.irr[pair.islots.index(i)].items()}
-    return [(0, k, theta, alpha)], group_order(p, k, "H")
+    slot = pair.islots.index(i)
+    theta = {(0, b): v for b, v in pair.H.irr[slot].items()}
+    theta_mono = {(0, b): v for b, v in pair.H.monomials[slot].items()}
+    return [(0, k, theta, theta_mono, alpha)], group_order(p, k, "H")
 
 
 def split_blocks(p, k, j_range=None):
@@ -204,14 +297,14 @@ def split_blocks(p, k, j_range=None):
     (gamma) on the big wreath product on k letters, the heavy block first,
     for 0 < j = |beta| < k unless `j_range` says otherwise."""
     pair = base_group(p)
-    psi_r = pair.G.irr[pair.r - 1]
+    psi_r = (pair.G.irr[pair.r - 1], pair.G.monomials[pair.r - 1])
     for i in pair.islots:
-        psi_i = pair.G.irr[i - 1]
+        psi_i = (pair.G.irr[i - 1], pair.G.monomials[i - 1])
         for j in j_range or range(1, k):
             order = len(pair.G.elements) ** k * factorial(j) * factorial(k - j)
             for beta in generate_partitions(j):
                 for gamma in generate_partitions(k - j):
-                    blocks = [(0, j, psi_r, beta), (j, k - j, psi_i, gamma)]
+                    blocks = [(0, j, *psi_r, beta), (j, k - j, *psi_i, gamma)]
                     blocks = [b for b in blocks if b[1]]
                     yield i, j, beta, gamma, blocks, order
 
@@ -239,7 +332,7 @@ def test_class_sum_induction_matches_whole_group_average(p):
     rows = {id(g): frozen_classes(g)[4] for g in groups}
     assert len(cases) == {3: 10, 5: 28}[p]
     for group, (blocks, order) in cases:
-        got = induce(group, blocks).values
+        got = induce(group, oracle_blocks(blocks)).values
         assert got == frozen_block_induce(group, rows[id(group)], blocks, order)
 
 
@@ -253,6 +346,21 @@ def test_every_generator_is_needed_for_the_orbit_check(kind):
             group._build_classes(gens[:dropped] + gens[dropped + 1 :])
 
 
+def test_orbits_coarser_than_the_labels_fail_the_orbit_check(monkeypatch):
+    """A map that is not a conjugation merges classes, so one orbit holds
+    several cycle labels; the check must see that too."""
+    group = WreathGroup(base_group(3).G, 2)
+    conjugates = group._conjugates
+
+    def merged(generators):
+        inner = conjugates(generators)
+        return lambda j: inner(j) + [(j + 1) % group.order]
+
+    monkeypatch.setattr(group, "_conjugates", merged)
+    with pytest.raises(RuntimeError, match="disagree"):
+        group._build_classes(group._generators())
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2)])
 def test_split_label_is_the_frozen_two_block_induction(p, k):
     pair = base_group(p)
@@ -262,7 +370,7 @@ def test_split_label_is_the_frozen_two_block_induction(p, k):
     assert {i < pair.r for i, *_ in cases} == {True, False}
     for i, _, beta, gamma, blocks, order in cases:
         frozen = frozen_block_induce(gw, rows, blocks, order)
-        assert induce(gw, blocks).values == frozen, (i, beta, gamma)
+        assert induce(gw, oracle_blocks(blocks)).values == frozen, (i, beta, gamma)
         got = parametrized_character(gw, _split_label(pair, i, beta, gamma)).values
         assert got == frozen, (i, beta, gamma)
 
@@ -277,7 +385,7 @@ def test_mackey_multiplicities_match_the_frozen_block_inductions():
         for alpha in generate_partitions(k):
             lin_blocks, lin_order = linear_induction(p, k, i, alpha)
             lhs = frozen_block_induce(gw, rows, lin_blocks, lin_order)
-            assert induce(gw, lin_blocks).values == lhs, (i, alpha)
+            assert induce(gw, oracle_blocks(lin_blocks)).values == lhs, (i, alpha)
             expected = inner_product(ClassFunction(gw, lhs), rhs)
             got = verify_mackey_multiplicities(i, j, alpha, beta, gamma, p, k)
             assert got == expected, (i, j, alpha, beta, gamma)
@@ -286,19 +394,26 @@ def test_mackey_multiplicities_match_the_frozen_block_inductions():
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
-def test_induction_evaluates_each_element_of_the_subgroup_once(p, k, monkeypatch):
-    calls = []
-    evaluate = oracle._block_value
-    monkeypatch.setattr(oracle, "_block_value", lambda *args: calls.append(args) or evaluate(*args))
+def test_induction_evaluates_each_element_of_the_subgroup_once(p, k):
+    """Summing one id part per block lists each element of K exactly once,
+    and the product of the blocks' monomials is the frozen pointwise value
+    there."""
     gw = wreath_group(p, k, "G")
+    m = gw.base.value_order
     for blocks, order in [
         next(multi_block_characters(gw)),
         linear_induction(p, k, base_group(p).islots[0], (k,)),
     ]:
-        calls.clear()
-        induce(gw, blocks)
-        assert len(calls) == order
-        assert len({(f, sigma) for _, _, f, sigma in calls}) == order
+        chi0 = frozen_block_chi0(gw, blocks)
+        per_block = [_block_entries(gw, *block) for block in oracle_blocks(blocks)]
+        assert prod(map(len, per_block)) == order
+        ids = set()
+        for parts in product(*per_block):
+            i = sum(part[0] for part in parts)
+            ids.add(i)
+            value = _cyclotomic(m, prod(part[1] for part in parts), sum(part[2] for part in parts))
+            assert chi0(gw.elements[i]) == value, gw.elements[i]
+        assert len(ids) == order
     assert order == group_order(p, k, "H")
 
 
@@ -310,3 +425,69 @@ def test_verify_suite_releases_its_groups():
     oracle._wreath_cached.cache_clear()
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("p,w,kind", [(3, 4, "G"), (3, 4, "H"), (5, 3, "G")])
+def test_id_class_build_matches_the_frozen_tuple_build(p, w, kind):
+    group = wreath_group(p, w, kind)
+    reps, sizes, labels, class_of_index = frozen_build_classes(group)
+    assert group.class_reps == reps
+    assert group.class_sizes == sizes
+    assert group.class_labels == labels
+    assert group.class_of_index == class_of_index
+
+
+@pytest.mark.parametrize("kind", ["G", "H"])
+def test_index_inverts_elements(kind):
+    group = wreath_group(3, 3, kind)
+    assert len(group.elements) == len(group.index) == group.order
+    for i in range(group.order):
+        assert group.index[group.elements[i]] == i
+    for i in (0, 17, group.order - 1):
+        x, y = group.elements[i], group.elements[(5 * i + 3) % group.order]
+        assert group.mult(x, group.inv(x)) == group.identity
+        assert group.index[group.mult(x, y)] == group.index[frozen_mult(group, x, y)]
+
+
+def rational_or_irrational(ip, a, b):
+    """The inner product, or the error naming the irrational sum."""
+    try:
+        return ip(a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p,w", [(3, 3), (5, 2)])
+def test_inner_product_matches_the_frozen_cyclotomic_sum(p, w):
+    for kind, t in (("G", p), ("H", p - 1)):
+        group = wreath_group(p, w, kind)
+        chars = [parametrized_character(group, lab) for lab in generate_multipartitions(w, t)]
+        for a, b in combinations_with_replacement(chars, 2):
+            for x, y in ((a, b), (b, a)):
+                got = inner_product(x, y)
+                assert type(got) is Fraction
+                assert got == frozen_inner_product(x, y) == (x is y)
+        # a class function with a different root of unity on each class
+        m = group.base.value_order
+        twist = ClassFunction(group, [root_of_unity(m, c) * (c + 1) for c in range(len(chars))])
+        for chi in chars + [twist]:
+            for x, y in ((twist, chi), (chi, twist)):
+                got = rational_or_irrational(inner_product, x, y)
+                assert got == rational_or_irrational(frozen_inner_product, x, y)
+
+
+def test_irrational_inner_product_raises():
+    h1 = wreath_group(5, 1, "H")
+    trivial = parametrized_character(h1, ((1,), (), (), ()))
+    zeta = ClassFunction(h1, [root_of_unity(4, 1)] * len(h1.class_reps))
+    with pytest.raises(ValueError, match="irrational"):
+        frozen_inner_product(zeta, trivial)
+    with pytest.raises(ValueError, match="irrational"):
+        inner_product(zeta, trivial)
+
+
+def test_inner_product_of_rational_class_functions_is_a_fraction():
+    g2 = wreath_group(3, 2, "G")
+    half = ClassFunction(g2, [Fraction(1, 2)] * len(g2.class_reps))
+    got = inner_product(half, half)
+    assert type(got) is Fraction and got == frozen_inner_product(half, half) == Fraction(1, 4)
