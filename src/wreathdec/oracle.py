@@ -14,16 +14,16 @@ Agreement between the two routes is the whole point of this module.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import NamedTuple, Optional
 
 from . import decomp
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic
 from .lr import lr_coefficient
 from .partitions import (
     MultiPartition,
@@ -69,20 +69,19 @@ def index_exponents(p: int) -> dict[int, int]:
 
 class BaseGroup:
     """A small concrete group: explicit elements, multiplication, inversion,
-    a generating set, and the full set of irreducible character value tables
-    (in slot order), each also given in monomial form: c * z^k as the pair
-    (c, k), with z a primitive `value_order`-th root of unity.  The elements
-    are numbered in order, and int multiplication and inverse tables act on
-    those numbers."""
+    a generating set, and the full set of irreducible characters (in slot
+    order), each a monomial table: c * z^k as the pair (c, k), with z a
+    primitive `value_order`-th root of unity, listed by element number.  The
+    elements are numbered in order, and int multiplication and inverse tables
+    act on those numbers."""
 
-    def __init__(self, name, elements, identity, mult, inv, irr, value_order, generators,
+    def __init__(self, name, elements, identity, mult, inv, value_order, generators,
                  monomials=()):
         self.name = name
         self.elements = tuple(elements)
         self.identity = identity
         self.mult = mult
         self.inv = inv
-        self.irr = irr
         self.monomials = monomials
         self.value_order = value_order
         self.generators = tuple(generators)
@@ -95,7 +94,6 @@ class BaseGroup:
         self.class_reps = tuple(self.elements[i] for i in reps)
         self.class_sizes = tuple(map(len, members))
         self.class_of_index = tuple(assigned)
-        self.class_of = dict(zip(self.elements, assigned))
 
 
 def _orbits(size, conjugates):
@@ -103,9 +101,10 @@ def _orbits(size, conjugates):
     breadth-first under `conjugates`, which lists the conjugates of an element
     by each generator.  Elements are scanned in order and each unassigned one
     represents a new class.  Returns the representatives, the member lists
-    and the class of every element, all as element numbers.  The generators must generate the group:
-    at w = 1 the wreath check compares this routine with itself (on the base
-    group's generators), so only the tests catch a wrong generating set."""
+    and the class of every element, all as element numbers.  The generators
+    must generate the group: at w = 1 the wreath check compares this routine
+    with itself (on the base group's generators), so only the tests catch a
+    wrong generating set."""
     assigned = [-1] * size
     reps, members = [], []
     for i in range(size):
@@ -141,8 +140,7 @@ def supported_p(p: int) -> bool:
 def base_group(p: int) -> BasePair:
     """The order-p(p-1) base group (a cyclic normal subgroup of order p acted
     on faithfully by a cyclic group of order p-1) and its order-(p-1)
-    complement, with all irreducible character values as exact cyclotomics
-    and, from the same formulas, as monomials.
+    complement, with every irreducible character as a monomial table.
 
     Elements of the big group are pairs (a, b) with a mod p, b mod p-1 and
     (a1,b1)(a2,b2) = (a1 + g^b1 * a2, b1 + b2) for the smallest primitive
@@ -165,26 +163,19 @@ def base_group(p: int) -> BasePair:
         return ((-x[0] * powg[b]) % p, b)
 
     g_elements = [(a, b) for a in range(p) for b in range(m)]
-    zeta = [root_of_unity(m, k) for k in range(m)]
-    g_irr, g_mono = [], []
+    g_mono = []
     for i in range(1, p + 1):
         if i == r:
-            heavy = {(a, b): p - 1 if (a, b) == (0, 0) else (-1 if b == 0 else 0)
-                     for (a, b) in g_elements}
-            g_irr.append({x: Cyclotomic.from_rational(m, c) for x, c in heavy.items()})
-            g_mono.append({x: (c, 0) for x, c in heavy.items()})
+            g_mono.append(tuple((p - 1 if (a, b) == (0, 0) else (-1 if b == 0 else 0), 0)
+                                for (a, b) in g_elements))
         else:
-            e = exps[i]
-            g_irr.append({(a, b): zeta[e * b % m] for (a, b) in g_elements})
-            g_mono.append({(a, b): (1, e * b % m) for (a, b) in g_elements})
-    G = BaseGroup("G", g_elements, (0, 0), gmult, ginv, tuple(g_irr), m, [(1, 0), (0, 1)],
-                  tuple(g_mono))
+            g_mono.append(tuple((1, exps[i] * b % m) for (a, b) in g_elements))
+    G = BaseGroup("G", g_elements, (0, 0), gmult, ginv, m, [(1, 0), (0, 1)], tuple(g_mono))
 
     h_elements = list(range(m))
-    h_irr = tuple({b: zeta[exps[i] * b % m] for b in h_elements} for i in islots)
-    h_mono = tuple({b: (1, exps[i] * b % m) for b in h_elements} for i in islots)
+    h_mono = tuple(tuple((1, exps[i] * b % m) for b in h_elements) for i in islots)
     H = BaseGroup(
-        "H", h_elements, 0, lambda x, y: (x + y) % m, lambda x: (-x) % m, h_irr, m, [1], h_mono
+        "H", h_elements, 0, lambda x, y: (x + y) % m, lambda x: (-x) % m, m, [1], h_mono
     )
     return BasePair(p, r, islots, g, G, H)
 
@@ -219,16 +210,10 @@ def perm_cycles(sigma: tuple[int, ...]):
     return tuple(cycles), ctype
 
 
-def _cycle_products(base: BaseGroup, f, sigma) -> list:
-    """One base-group element per cycle of sigma, each the product of the
-    coordinates of f along the cycle in product order."""
-    cycles, _ = perm_cycles(sigma)
-    return [reduce(base.mult, (f[i] for i in cyc)) for cyc in cycles]
-
-
 def _cycle_product_ids(mul, f, cycles) -> list[int]:
-    """`_cycle_products` on element numbers: f holds base-element numbers and
-    mul is the base group's multiplication table."""
+    """One base-element number per cycle, the product of the coordinates of f
+    along the cycle in product order: f holds base-element numbers and mul is
+    the base group's multiplication table."""
     out = []
     for cyc in cycles:
         x = f[cyc[0]]
@@ -243,7 +228,7 @@ def _monomial(mul, table, lam: Partition, f, sigma) -> tuple[int, int]:
     tensored with the symmetric-group character lam: a product of base values
     at the cycle products times the character value at the cycle type.  f
     holds base-element numbers, all in the table's domain, and `table` lists
-    the base character's monomials by element number."""
+    the base character's monomials by element number (None off its domain)."""
     cycles, ctype = perm_cycles(sigma)
     coef, exp = mn_value(lam, ctype), 0
     for x in _cycle_product_ids(mul, f, cycles):
@@ -256,12 +241,6 @@ def _monomial(mul, table, lam: Partition, f, sigma) -> tuple[int, int]:
 def _cyclotomic(m: int, coef: int, exp: int) -> Cyclotomic:
     """The monomial coef * z_m^exp as a canonical cyclotomic."""
     return Cyclotomic(m, [0] * exp + [coef])
-
-
-def _by_number(base: BaseGroup, table) -> list:
-    """A monomial table keyed by base element, listed by element number
-    (None off the table's domain)."""
-    return [table.get(x) for x in base.elements]
 
 
 class ClassData(NamedTuple):
@@ -285,22 +264,6 @@ class _Elements(Sequence):
         return self._group._decode(range(len(self))[i])
 
 
-class _Index(Mapping):
-    """The id of each element of a wreath group, encoded on demand."""
-
-    def __init__(self, group: "WreathGroup"):
-        self._group = group
-
-    def __len__(self):
-        return self._group.order
-
-    def __getitem__(self, elem):
-        return self._group._encode(elem)
-
-    def __iter__(self):
-        return iter(self._group.elements)
-
-
 class WreathGroup:
     """A wreath product of a concrete base group with a symmetric group,
     fully enumerated.  Elements are pairs (f, sigma) with f a w-tuple of base
@@ -309,8 +272,8 @@ class WreathGroup:
     Element (f, sigma) has the id f_rank * w! + perm_rank, where f_rank reads
     the base-element numbers of f as mixed-radix digits (coordinate 0 most
     significant) and perm_rank is the lexicographic rank of sigma, so ids
-    follow the order of `elements`.  Classes are built on ids; `elements` and
-    `index` decode and encode them on demand."""
+    follow the order of `elements`, which decodes them on demand.  Id 0 is the
+    identity, so it represents class 0.  Classes are built on ids."""
 
     def __init__(self, base: BaseGroup, w: int):
         self.base = base
@@ -319,8 +282,6 @@ class WreathGroup:
         self._perm_rank = {s: i for i, s in enumerate(self._perms)}
         self.order = len(base.elements) ** w * len(self._perms)
         self.elements = _Elements(self)
-        self.index = _Index(self)
-        self.identity = ((base.identity,) * w, tuple(range(w)))
         self._char_cache: dict[MultiPartition, "ClassFunction"] = {}
         self._build_classes(self._generators())
 
@@ -337,44 +298,6 @@ class WreathGroup:
     def _decode(self, j: int):
         digits, sigma = self._split(j)
         return tuple(self.base.elements[d] for d in digits), sigma
-
-    def _encode(self, elem) -> int:
-        f, sigma = elem
-        if len(f) != self.w:
-            raise KeyError(elem)
-        n, index = len(self.base.elements), self.base.index
-        rank = 0
-        for x in f:
-            rank = rank * n + index[x]
-        return rank * len(self._perms) + self._perm_rank[sigma]
-
-    def mult(self, x, y):
-        f, s = x
-        f2, t = y
-        sinv = _inv_perm(s)
-        bm = self.base.mult
-        return (
-            tuple(bm(f[i], f2[sinv[i]]) for i in range(self.w)),
-            tuple(s[t[i]] for i in range(self.w)),
-        )
-
-    def inv(self, x):
-        f, s = x
-        bi = self.base.inv
-        return (tuple(bi(f[s[j]]) for j in range(self.w)), _inv_perm(s))
-
-    def cycle_products(self, elem) -> list:
-        """One base-group element per cycle of the permutation part."""
-        return _cycle_products(self.base, *elem)
-
-    def class_label(self, elem) -> MultiPartition:
-        """Cycle structure: one partition per base class, collecting the
-        lengths of the cycles whose product lands in that class."""
-        cycles, _ = perm_cycles(elem[1])
-        parts: list[list[int]] = [[] for _ in self.base.class_reps]
-        for cyc, prod in zip(cycles, self.cycle_products(elem)):
-            parts[self.base.class_of[prod]].append(len(cyc))
-        return tuple(tuple(sorted(ps, reverse=True)) for ps in parts)
 
     def _generators(self) -> list:
         """The base generators in coordinate 0, the transposition (0 1) and
@@ -467,9 +390,6 @@ class WreathGroup:
         self._class_members = members
         self._rep_ids = tuple(reps)
 
-    def class_of(self, elem) -> int:
-        return self.class_of_index[self.index[elem]]
-
 
 def group_order(p: int, w: int, kind: str) -> int:
     base_size = p * (p - 1) if kind == "G" else p - 1
@@ -489,6 +409,8 @@ def wreath_group(
     (default 10^6)."""
     if kind not in ("G", "H"):
         raise ValueError("kind must be 'G' or 'H'")
+    if type(w) is not int:
+        raise ValueError(f"w must be an int, got {w!r}")
     if w < 0:
         raise ValueError(f"w must be nonnegative, got {w}")
     base_group(p)  # validates p
@@ -524,7 +446,7 @@ class ClassFunction:
         )
 
     def degree(self):
-        return self.values[self.group.class_of(self.group.identity)].as_rational()
+        return self.values[0].as_rational()  # class 0 holds id 0, the identity
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
@@ -557,8 +479,7 @@ def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partit
     product of their monomials."""
     base, w, nperms = group.base, group.w, len(group._perms)
     n, m, mul = len(base.elements), base.value_order, base.mul_table
-    mono = _by_number(base, table)
-    domain = [x for x, v in enumerate(mono) if v is not None]
+    domain = [x for x, v in enumerate(table) if v is not None]
     f_parts = [(0, ())]
     for t in range(start, start + size):
         weight = n ** (w - 1 - t) * nperms
@@ -573,7 +494,7 @@ def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partit
             entries += [(v + perm_part, 0, 0) for v, _ in f_parts]
             continue
         for v, f in f_parts:
-            c, e = _monomial(mul, mono, lam, f, sigma)
+            c, e = _monomial(mul, table, lam, f, sigma)
             entries.append((v + perm_part, c, e % m))
     return entries
 
@@ -584,7 +505,7 @@ def induce(group: WreathGroup, blocks) -> ClassFunction:
     block character over c ∩ K, since conjugating by all of G hits each
     member of c |G| / |c| times.  K is enumerated from the blocks (start,
     size, monomial table, lam): in each, every coordinate ranges over the
-    table's keys and the letters are permuted among themselves.  The class
+    table's domain and the letters are permuted among themselves.  The class
     sums are taken in the group ring of the order-m cyclic group, one int per
     power of the root, and reduced to the field once per class."""
     m = group.base.value_order
@@ -613,8 +534,8 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     evaluated directly on class representatives.  The result has norm 1."""
     if label in group._char_cache:
         return group._char_cache[label]
-    if len(label) != len(group.base.irr):
-        raise ValueError(f"label must have {len(group.base.irr)} components")
+    if len(label) != len(group.base.monomials):
+        raise ValueError(f"label must have {len(group.base.monomials)} components")
     for lam in label:
         check_partition(lam)
     if sum(map(sum, label)) != group.w:
@@ -631,9 +552,8 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     elif len(blocks) == 1:
         (_, _, table, lam), = blocks
         base = group.base
-        mono = _by_number(base, table)
         chi = ClassFunction(group, [
-            _cyclotomic(base.value_order, *_monomial(base.mul_table, mono, lam, *group._split(j)))
+            _cyclotomic(base.value_order, *_monomial(base.mul_table, table, lam, *group._split(j)))
             for j in group._rep_ids
         ])
     else:
@@ -644,17 +564,22 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     return chi
 
 
-def _embed_h(elem):
-    f, sigma = elem
-    return (tuple((0, b) for b in f), sigma)
-
-
 def restrict_to_h(gw: WreathGroup, hw: WreathGroup, chi: ClassFunction) -> ClassFunction:
     """View a class function of the big wreath product as one of the small
-    wreath product sitting inside it coordinate-wise."""
-    return ClassFunction(
-        hw, [chi.values[gw.class_of(_embed_h(rep))] for rep in hw.class_reps]
-    )
+    wreath product sitting inside it coordinate-wise: base digit b of an H id
+    becomes the G number of (0, b), and the permutation rank stays."""
+    pair = base_group(gw.base.value_order + 1)
+    if gw.base is not pair.G or hw.base is not pair.H or hw.w != gw.w or chi.group is not gw:
+        raise ValueError("restrict_to_h takes a class function of gw and gw's H-wreath product")
+    embed = [gw.base.index[(0, b)] for b in hw.base.elements]
+    n, nperms = len(gw.base.elements), len(gw._perms)
+    values = []
+    for j in hw._rep_ids:
+        f = 0
+        for d in hw._split(j)[0]:
+            f = f * n + embed[d]
+        values.append(chi.values[gw.class_of_index[f * nperms + j % nperms]])
+    return ClassFunction(hw, values)
 
 
 def _as_multiplicity(q: Fraction) -> int:
@@ -684,8 +609,11 @@ def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
     """Induction of (i-th linear extension) x (alpha) from the small wreath
     product, embedded coordinate-wise, up to the big one on the same letters.
     The i-th linear complement character is moved onto the embedded
-    complement, so its keys make the block subgroup the small wreath product."""
-    theta = {(0, b): v for b, v in pair.H.monomials[pair.islots.index(i)].items()}
+    complement, so its domain makes the block subgroup the small wreath
+    product."""
+    theta = [None] * len(pair.G.elements)
+    for b, v in zip(pair.H.elements, pair.H.monomials[pair.islots.index(i)]):
+        theta[pair.G.index[(0, b)]] = v
     return induce(gw, [(0, gw.w, theta, alpha)])
 
 
@@ -756,27 +684,31 @@ def _claim(name, params, expected, computed) -> ClaimResult:
 def base_group_claims(p: int) -> list[ClaimResult]:
     pair = base_group(p)
     G, H = pair.G, pair.H
+    m = p - 1
     out = []
     # the degree-(p-1) character vanishes off the normal subgroup and its
     # restriction to the complement is (p-1) at the identity, 0 elsewhere
-    psi_r = G.irr[pair.r - 1]
-    res = tuple(psi_r[(0, b)] for b in H.elements)
+    psi_r = G.monomials[pair.r - 1]
+    res = tuple(_cyclotomic(m, *psi_r[G.index[(0, b)]]) for b in H.elements)
     expected = tuple(
-        Cyclotomic.from_rational(p - 1, p - 1 if b == 0 else 0) for b in H.elements
+        Cyclotomic.from_rational(m, p - 1 if b == 0 else 0) for b in H.elements
     )
     out.append(_claim("restriction_of_heavy_character_is_delta", {"p": p}, expected, res))
     # second orthogonality at the identity column of the complement
     sums = tuple(
-        sum((table[b] for table in H.irr), Cyclotomic(p - 1)) for b in H.elements
+        sum((_cyclotomic(m, *table[x]) for table in H.monomials), Cyclotomic(m))
+        for x in range(len(H.elements))
     )
     out.append(_claim("complement_second_orthogonality", {"p": p}, expected, sums))
-    # row orthogonality of the full base character table
+    # row orthogonality of the full base character table, summed in the group
+    # ring like `inner_product`
     ok = True
-    for a, ta in enumerate(G.irr):
-        for b, tb in enumerate(G.irr):
-            ip = sum(
-                (ta[g] * tb[g].conjugate() for g in G.elements), Cyclotomic(p - 1)
-            ).as_rational() / len(G.elements)
+    for a, ta in enumerate(G.monomials):
+        for b, tb in enumerate(G.monomials):
+            total = [0] * m
+            for (c, e), (d, k) in zip(ta, tb):
+                total[(e - k) % m] += c * d
+            ip = Cyclotomic(m, total).as_rational() / len(G.elements)
             ok = ok and ip == (1 if a == b else 0)
     out.append(_claim("base_table_row_orthogonality", {"p": p}, True, ok))
     return out
@@ -862,8 +794,8 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
     embed = [gw.base.index[(0, b)] for b in hw.base.elements]
     h_elems = [hw._split(j) for j in range(hw.order)]
     for i in pair.islots:
-        big_table = _by_number(gw.base, pair.G.monomials[i - 1])
-        small_table = _by_number(hw.base, pair.H.monomials[pair.islots.index(i)])
+        big_table = pair.G.monomials[i - 1]
+        small_table = pair.H.monomials[pair.islots.index(i)]
         ok = True
         for f, sigma in h_elems:
             big_f = [embed[x] for x in f]
@@ -880,7 +812,7 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
                 ok,
             )
         )
-    psi_r = _by_number(gw.base, pair.G.monomials[pair.r - 1])
+    psi_r = pair.G.monomials[pair.r - 1]
     identity = gw.base.index[(0, 0)]
     trivial = (w,) if w else ()
     ok = True

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import comb
 
 from bareiss import determinant
+from frozen_wreath import frozen_class_label
 
 from wreathdec import decomp, oracle
 from wreathdec.decomp import (
@@ -193,7 +194,7 @@ def test_criterion_7_class_structure_consistency():
                 # recheck the partition agreement explicitly
                 by_label = {}
                 for i, e in enumerate(group.elements):
-                    by_label.setdefault(group.class_label(e), set()).add(i)
+                    by_label.setdefault(frozen_class_label(group, e), set()).add(i)
                 orbits = {}
                 for i, c in enumerate(group.class_of_index):
                     orbits.setdefault(c, set()).add(i)

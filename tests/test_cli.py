@@ -198,8 +198,10 @@ VERIFY_DIGESTS = {
     ("3", "4", "json"): "22dc16a7b7d9771d77ad4fc236aa22eac708341cb797e056a611089b6ee65261",
     ("5", "2", "json"): "ab59181415ab8edaef1a9b340c41a8a73025b79f2a60336c7bfc4a93ee134170",
     ("5", "2", "csv"): "945a6c50294eb225e4fc682b90874114f29718efbb947ffbdc57c14c53d3d9c6",
+    ("5", "3", "json"): "d30eb799e42a5516e8894140d169851c5538e4fe60d04cab2b54b21378ae1a1f",
     ("7", "1", "json"): "1f7c4ccb8f0c22e058ba0ec1b85bdb9794421bf7c46960436694c059deb700dc",
     ("7", "1", "csv"): "c89aad0b62c27515ccd32887a3e5b9b03c44b5889cc02839a8cc7151875f32c3",
+    ("11", "2", "json"): "76e7f44b5f7e7118ad62a040ceb75c7e49d1fe22c520af304acb26f10f428274",
 }
 
 

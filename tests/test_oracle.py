@@ -9,10 +9,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from frozen_wreath import (
+    frozen_base_tables,
+    frozen_class_label,
+    frozen_cycle_products,
+    frozen_encode,
+    frozen_identity,
+    frozen_inv,
+    frozen_mult,
+)
 
 from wreathdec import decomp
 from wreathdec.oracle import (
     GuardError,
+    WreathGroup,
+    _cycle_product_ids,
+    _cyclotomic,
     base_group,
     base_group_claims,
     class_structure_claims,
@@ -23,6 +35,7 @@ from wreathdec.oracle import (
     mackey_claims,
     oracle_restriction,
     parametrized_character,
+    perm_cycles,
     primitive_root,
     restrict_to_h,
     tilde_restriction_claims,
@@ -61,9 +74,25 @@ def test_base_group_shape():
     assert len(pair.G.class_reps) == 5
     assert len(pair.H.class_reps) == 4
     # complement embeds with the right values: psi_i restricted equals theta_i
+    g_irr, h_irr = frozen_base_tables(5)
     for slot, i in enumerate(pair.islots):
         for b in pair.H.elements:
-            assert pair.G.irr[i - 1][(0, b)] == pair.H.irr[slot][b]
+            assert g_irr[i - 1][(0, b)] == h_irr[slot][b]
+            assert (pair.G.monomials[i - 1][pair.G.index[(0, b)]]
+                    == pair.H.monomials[slot][pair.H.index[b]])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_monomials_match_the_frozen_cyclotomic_tables(p):
+    """Every monomial, listed by element number, is the frozen cyclotomic
+    table's value at that element."""
+    pair = base_group(p)
+    for base, irr in zip((pair.G, pair.H), frozen_base_tables(p)):
+        assert len(base.monomials) == len(irr)
+        for mono, table in zip(base.monomials, irr):
+            assert len(mono) == len(base.elements)
+            for x, v in zip(base.elements, mono):
+                assert _cyclotomic(p - 1, *v) == table[x]
 
 
 def test_base_group_rejects_bad_p():
@@ -79,30 +108,52 @@ def test_base_group_claims():
 
 def test_group_law_and_inverses():
     g2 = wreath_group(3, 2, "G")
-    e = g2.identity
-    for x in g2.elements[:50]:
-        assert g2.mult(x, g2.inv(x)) == e
-        assert g2.mult(e, x) == x
-    a, b, c = g2.elements[3], g2.elements[40], g2.elements[57]
-    assert g2.mult(g2.mult(a, b), c) == g2.mult(a, g2.mult(b, c))
+
+    def mult(i, j):  # on ids, through the frozen tuple-level law
+        return frozen_encode(g2, frozen_mult(g2, g2.elements[i], g2.elements[j]))
+
+    for i in range(50):
+        inv = frozen_encode(g2, frozen_inv(g2, g2.elements[i]))
+        assert mult(i, inv) == mult(inv, i) == 0
+        assert mult(i, 0) == mult(0, i) == i
+    a, b, c = 3, 40, 57
+    assert mult(mult(a, b), c) == mult(a, mult(b, c))
 
 
 def test_cycle_products():
     g2 = wreath_group(3, 2, "G")
+    base = g2.base
     x, y = (1, 0), (2, 1)
-    ident = ((x, y), (0, 1))
-    assert g2.cycle_products(ident) == [x, y]
-    swapped = ((x, y), (1, 0))
-    assert g2.cycle_products(swapped) == [g2.base.mult(x, y)]
+    assert frozen_cycle_products(base, (x, y), (0, 1)) == [x, y]
+    assert frozen_cycle_products(base, (x, y), (1, 0)) == [base.mult(x, y)]
+    # the library's product on element numbers agrees on every element
+    for j in range(g2.order):
+        f, sigma = g2.elements[j]
+        digits = [base.index[z] for z in f]
+        got = _cycle_product_ids(base.mul_table, digits, perm_cycles(sigma)[0])
+        assert [base.elements[z] for z in got] == frozen_cycle_products(base, f, sigma)
 
 
 def test_cycle_products_of_conjugates_match_classwise():
     g2 = wreath_group(3, 2, "G")
     for g in g2.elements[::17]:
-        lab = g2.class_label(g)
+        c = g2.class_of_index[frozen_encode(g2, g)]
+        lab = frozen_class_label(g2, g)
+        assert g2.class_labels[c] == lab
         for x in g2.elements[::23]:
-            conj = g2.mult(g2.mult(x, g), g2.inv(x))
-            assert g2.class_label(conj) == lab
+            conj = frozen_mult(g2, frozen_mult(g2, x, g), frozen_inv(g2, x))
+            assert frozen_class_label(g2, conj) == lab
+            assert g2.class_of_index[frozen_encode(g2, conj)] == c
+
+
+@pytest.mark.parametrize("kind", ["G", "H"])
+@pytest.mark.parametrize("w", [0, 1, 2, 3])
+def test_id_zero_is_the_identity_in_class_zero(w, kind):
+    group = wreath_group(3, w, kind)
+    assert group.elements[0] == frozen_identity(group)
+    assert group.class_of_index[0] == 0
+    assert group.class_reps[0] == frozen_identity(group)
+    assert group.class_sizes[0] == 1
 
 
 def test_class_counts():
@@ -210,6 +261,32 @@ def test_inner_product_requires_same_group():
             parametrized_character(g1, (((1,), (), ()))),
             parametrized_character(h1, (((1,), ()))),
         )
+
+
+@pytest.mark.parametrize("p,w,hp,hw", [(3, 2, 5, 2), (3, 2, 3, 1), (5, 1, 3, 1)])
+def test_restriction_refuses_a_mismatched_small_group(p, w, hp, hw):
+    gw = wreath_group(p, w, "G")
+    chi = parametrized_character(gw, ((w,),) + ((),) * (p - 1))
+    with pytest.raises(ValueError, match="H-wreath product"):
+        restrict_to_h(gw, wreath_group(hp, hw, "H"), chi)
+
+
+def test_restriction_refuses_a_foreign_character_or_a_big_group_as_small():
+    g2, h2 = wreath_group(3, 2, "G"), wreath_group(3, 2, "H")
+    chi = parametrized_character(g2, ((2,), (), ()))
+    with pytest.raises(ValueError, match="H-wreath product"):
+        restrict_to_h(g2, g2, chi)
+    with pytest.raises(ValueError, match="H-wreath product"):
+        restrict_to_h(WreathGroup(g2.base, 2), h2, chi)
+
+
+@pytest.mark.parametrize("w", [2.0, "2", True, None])
+def test_non_int_weight_is_refused(w):
+    for kind in ("G", "H"):
+        with pytest.raises(ValueError, match="w must be an int"):
+            wreath_group(3, w, kind)
+    with pytest.raises(ValueError, match="w must be an int"):
+        verify_suite(3, w)
 
 
 def test_restriction_preserves_degree():

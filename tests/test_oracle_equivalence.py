@@ -16,19 +16,30 @@ frozen two-block inductions pin that label's slots.
 The oracle now also numbers elements by int ids, closes orbits under int
 conjugation maps, and sums values as monomials in the group ring of the
 cyclic group of order p - 1.  The tuple-level class build and the
-cyclotomic inner product it replaced are frozen here too, and the blocks
-below carry each base table in both forms: the cyclotomic one for the
-frozen references, the monomial one for the oracle.
+cyclotomic inner product it replaced are frozen here too.  The oracle keeps
+only ids and monomial tables listed by element number; the element tuples,
+their group law and encoding, and the cyclotomic base tables come from
+`frozen_wreath`.  The blocks below carry each base table in both forms: the
+cyclotomic one for the frozen references, the monomial one for the oracle.
 """
 
 import gc
 import weakref
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
+from frozen_wreath import (
+    frozen_class_label,
+    frozen_cycle_products,
+    frozen_embed_h,
+    frozen_encode,
+    frozen_identity,
+    frozen_inv,
+    frozen_irr,
+    frozen_mult,
+)
 
 from wreathdec import oracle
 from wreathdec.cyclotomic import Cyclotomic, root_of_unity
@@ -37,7 +48,6 @@ from wreathdec.oracle import (
     ClassFunction,
     WreathGroup,
     _block_entries,
-    _cycle_products,
     _cyclotomic,
     _split_label,
     base_group,
@@ -46,6 +56,7 @@ from wreathdec.oracle import (
     inner_product,
     parametrized_character,
     perm_cycles,
+    restrict_to_h,
     verify_mackey_multiplicities,
     verify_suite,
     wreath_group,
@@ -54,27 +65,6 @@ from wreathdec.partitions import generate_multipartitions, generate_partitions
 from wreathdec.sn_char import mn_value
 
 CASES = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
-
-
-def frozen_mult(group, x, y):
-    f, s = x
-    f2, t = y
-    sinv = [0] * group.w
-    for i, v in enumerate(s):
-        sinv[v] = i
-    bm = group.base.mult
-    return (
-        tuple(bm(f[i], f2[sinv[i]]) for i in range(group.w)),
-        tuple(s[t[i]] for i in range(group.w)),
-    )
-
-
-def frozen_inv(group, x):
-    f, s = x
-    sinv = [0] * group.w
-    for i, v in enumerate(s):
-        sinv[v] = i
-    return (tuple(group.base.inv(f[s[j]]) for j in range(group.w)), tuple(sinv))
 
 
 def frozen_orbits(elements, index, mult, inv, generators):
@@ -131,27 +121,17 @@ def frozen_inner_product(a, b):
     return total.as_rational() / a.group.order
 
 
-def frozen_class_label(group, elem):
-    f, sigma = elem
-    cycles, _ = perm_cycles(sigma)
-    parts = [[] for _ in group.base.class_reps]
-    for cyc in cycles:
-        prod = reduce(group.base.mult, (f[i] for i in cyc))
-        parts[group.base.class_of[prod]].append(len(cyc))
-    return tuple(tuple(sorted(ps, reverse=True)) for ps in parts)
-
-
 def frozen_classes(group):
     """Full conjugation: (reps, sizes, labels, class_of_index, rows)."""
     labels = [frozen_class_label(group, e) for e in group.elements]
-    invs = [group.inv(e) for e in group.elements]
+    invs = [frozen_inv(group, e) for e in group.elements]
     assigned = [-1] * len(group.elements)
     reps, sizes, rows = [], [], []
     for i, g in enumerate(group.elements):
         if assigned[i] >= 0:
             continue
         row = [
-            group.index[group.mult(group.mult(x, g), xi)]
+            frozen_encode(group, frozen_mult(group, frozen_mult(group, x, g), xi))
             for x, xi in zip(group.elements, invs)
         ]
         members = set(row)
@@ -160,7 +140,7 @@ def frozen_classes(group):
         reps.append(g)
         sizes.append(len(members))
         rows.append(row)
-    class_labels = tuple(labels[group.index[rep]] for rep in reps)
+    class_labels = tuple(labels[frozen_encode(group, rep)] for rep in reps)
     return tuple(reps), tuple(sizes), class_labels, tuple(assigned), rows
 
 
@@ -172,7 +152,7 @@ def frozen_tilde_value(base, base_values, lam, f, sigma):
         if x not in base_values:
             return None
     val = 1
-    for prod in _cycle_products(base, f, sigma):
+    for prod in frozen_cycle_products(base, f, sigma):
         val = val * base_values[prod]
     return val * mn_value(lam, perm_cycles(sigma)[1])
 
@@ -245,14 +225,14 @@ def test_base_classes_match_full_conjugation(p):
         reps, sizes, class_of = frozen_base_classes(base)
         assert base.class_reps == reps
         assert base.class_sizes == sizes
-        assert base.class_of == class_of
+        assert dict(zip(base.elements, base.class_of_index)) == class_of
 
 
 @pytest.mark.parametrize("kept", [0, 1])
 def test_wrong_base_classes_fail_the_orbit_check(kept, monkeypatch):
     pair = base_group(3)
     G = pair.G
-    bad = BaseGroup("G", G.elements, G.identity, G.mult, G.inv, G.irr, G.value_order,
+    bad = BaseGroup("G", G.elements, G.identity, G.mult, G.inv, G.value_order,
                     G.generators[kept : kept + 1])
     assert bad.class_sizes != G.class_sizes
     monkeypatch.setattr(oracle, "base_group", lambda p: pair._replace(G=bad))
@@ -267,12 +247,13 @@ def test_wrong_base_classes_fail_the_orbit_check(kept, monkeypatch):
 def multi_block_characters(group):
     """(blocks, subgroup order) of every label with two or more nonempty
     slots, built as `parametrized_character` builds them."""
-    for label in generate_multipartitions(group.w, len(group.base.irr)):
+    base = group.base
+    irr = frozen_irr(base)
+    for label in generate_multipartitions(group.w, len(base.monomials)):
         blocks, start = [], 0
         for slot, lam in enumerate(label):
             if lam:
-                base = group.base
-                blocks.append((start, sum(lam), base.irr[slot], base.monomials[slot], lam))
+                blocks.append((start, sum(lam), irr[slot], base.monomials[slot], lam))
                 start += sum(lam)
         if len(blocks) >= 2:
             order = len(group.base.elements) ** group.w
@@ -286,8 +267,10 @@ def linear_induction(p, k, i, alpha):
     (alpha) from the small wreath product on k letters."""
     pair = base_group(p)
     slot = pair.islots.index(i)
-    theta = {(0, b): v for b, v in pair.H.irr[slot].items()}
-    theta_mono = {(0, b): v for b, v in pair.H.monomials[slot].items()}
+    theta = {(0, b): v for b, v in frozen_irr(pair.H)[slot].items()}
+    theta_mono = [None] * len(pair.G.elements)  # by G number, off the complement None
+    for b, v in zip(pair.H.elements, pair.H.monomials[slot]):
+        theta_mono[pair.G.index[(0, b)]] = v
     return [(0, k, theta, theta_mono, alpha)], group_order(p, k, "H")
 
 
@@ -297,9 +280,10 @@ def split_blocks(p, k, j_range=None):
     (gamma) on the big wreath product on k letters, the heavy block first,
     for 0 < j = |beta| < k unless `j_range` says otherwise."""
     pair = base_group(p)
-    psi_r = (pair.G.irr[pair.r - 1], pair.G.monomials[pair.r - 1])
+    irr = frozen_irr(pair.G)
+    psi_r = (irr[pair.r - 1], pair.G.monomials[pair.r - 1])
     for i in pair.islots:
-        psi_i = (pair.G.irr[i - 1], pair.G.monomials[i - 1])
+        psi_i = (irr[i - 1], pair.G.monomials[i - 1])
         for j in j_range or range(1, k):
             order = len(pair.G.elements) ** k * factorial(j) * factorial(k - j)
             for beta in generate_partitions(j):
@@ -439,14 +423,30 @@ def test_id_class_build_matches_the_frozen_tuple_build(p, w, kind):
 
 @pytest.mark.parametrize("kind", ["G", "H"])
 def test_index_inverts_elements(kind):
+    """The frozen encoder inverts the library's decoding, and the frozen group
+    law lands on the library's ids: x x^-1 is id 0 and x y is what the
+    library decodes at that id."""
     group = wreath_group(3, 3, kind)
-    assert len(group.elements) == len(group.index) == group.order
+    assert len(group.elements) == group.order
     for i in range(group.order):
-        assert group.index[group.elements[i]] == i
+        assert frozen_encode(group, group.elements[i]) == i
     for i in (0, 17, group.order - 1):
         x, y = group.elements[i], group.elements[(5 * i + 3) % group.order]
-        assert group.mult(x, group.inv(x)) == group.identity
-        assert group.index[group.mult(x, y)] == group.index[frozen_mult(group, x, y)]
+        assert frozen_mult(group, x, frozen_inv(group, x)) == frozen_identity(group)
+        assert frozen_encode(group, frozen_mult(group, x, frozen_inv(group, x))) == 0
+        xy = frozen_mult(group, x, y)
+        assert group.elements[frozen_encode(group, xy)] == xy
+
+
+@pytest.mark.parametrize("p,w", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 2)])
+def test_id_embedding_matches_the_frozen_tuple_embedding(p, w):
+    """`restrict_to_h` reads each H class at the G class of its representative
+    embedded coordinate-wise, found here through the frozen encoder.  The
+    class function restricted takes each G class's number as its value."""
+    gw, hw = wreath_group(p, w, "G"), wreath_group(p, w, "H")
+    classes = [gw.class_of_index[frozen_encode(gw, frozen_embed_h(rep))] for rep in hw.class_reps]
+    named = ClassFunction(gw, range(len(gw.class_reps)))
+    assert restrict_to_h(gw, hw, named).values == ClassFunction(hw, classes).values
 
 
 def rational_or_irrational(ip, a, b):
