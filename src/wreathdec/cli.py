@@ -32,6 +32,7 @@ KMATRIX_GUARD = 6
 KMATRIX_LABEL_GUARD = 250_000
 GRAM_LABEL_GUARD = 30_000
 LABEL_COMPONENT_GUARD = 26_000_000  # G-labels times p; measured in the README's Guards
+GUARD_ENV_DIGITS = 4300  # the most digits int() converts by default
 
 
 def _fail(message: str):
@@ -49,9 +50,12 @@ def _guard_from_env() -> int | None:
     raw = os.environ.get("WREATH_GUARD_ELEMS")
     if not raw:
         return None
-    _require(raw.strip().isdecimal(),
+    digits = raw.strip()
+    _require(digits.isdecimal(),
              f"WREATH_GUARD_ELEMS must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+    _require(len(digits) <= GUARD_ENV_DIGITS,
+             f"WREATH_GUARD_ELEMS must have at most {GUARD_ENV_DIGITS} digits, got {len(digits)}")
+    return int(digits)
 
 
 def _emit(args, text: str) -> None:

@@ -12,7 +12,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .partitions import Partition, check_partition, generate_partitions
+from .partitions import Partition, check_partition, check_size, generate_partitions
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -106,8 +106,8 @@ def restriction_expansion(
     These are the multiplicities in the restriction of the character alpha to
     the Young subgroup on j and |alpha| - j letters.
     """
-    k = sum(alpha)
-    if not 0 <= j <= k:
+    k = sum(check_partition(alpha))
+    if not 0 <= check_size(j, "j") <= k:
         raise ValueError(f"j must be in 0..{k}, got {j}")
     out = []
     for beta in generate_partitions(j):

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
 from math import factorial, prod
 from typing import NamedTuple, Optional
 
@@ -68,28 +68,23 @@ def index_exponents(p: int) -> dict[int, int]:
 
 
 class BaseGroup:
-    """A small concrete group: explicit elements, multiplication, inversion,
-    a generating set, and the full set of irreducible characters (in slot
-    order), each a monomial table: c * z^k as the pair (c, k), with z a
-    primitive `value_order`-th root of unity, listed by element number.  The
-    elements are numbered in order, and int multiplication and inverse tables
-    act on those numbers."""
+    """A small concrete group on the element numbers 0..n-1, number 0 the
+    identity: int multiplication and inverse tables on those numbers, a
+    generating set of numbers, and the full set of irreducible characters (in
+    slot order), each a monomial table: c * z^k as the pair (c, k), with z a
+    primitive `value_order`-th root of unity, listed by element number.
+    `elements` holds the display name of each number."""
 
-    def __init__(self, name, elements, identity, mult, inv, value_order, generators,
+    def __init__(self, name, elements, mul_table, inv_table, value_order, generators,
                  monomials=()):
         self.name = name
         self.elements = tuple(elements)
-        self.identity = identity
-        self.mult = mult
-        self.inv = inv
+        self.mul_table = mul = mul_table
+        self.inv_table = inv_table
         self.monomials = monomials
         self.value_order = value_order
         self.generators = tuple(generators)
-        self.index = index = {e: i for i, e in enumerate(self.elements)}
-        self.mul_table = mul = [[index[mult(x, y)] for y in self.elements] for x in self.elements]
-        self.inv_table = [index[inv(x)] for x in self.elements]
-        conj = [[mul[mul[index[s]][j]][index[inv(s)]] for j in range(len(mul))]
-                for s in self.generators]
+        conj = [[mul[mul[s][j]][inv_table[s]] for j in range(len(mul))] for s in self.generators]
         reps, members, assigned = _orbits(len(mul), lambda j: [c[j] for c in conj])
         self.class_reps = tuple(self.elements[i] for i in reps)
         self.class_sizes = tuple(map(len, members))
@@ -138,13 +133,15 @@ def supported_p(p: int) -> bool:
 
 @cache
 def base_group(p: int) -> BasePair:
-    """The order-p(p-1) base group (a cyclic normal subgroup of order p acted
-    on faithfully by a cyclic group of order p-1) and its order-(p-1)
-    complement, with every irreducible character as a monomial table.
+    """The order-p(p-1) base group G (a cyclic normal subgroup of order p
+    acted on faithfully by a cyclic group of order m = p-1) and its order-m
+    complement H, with every irreducible character as a monomial table.
 
-    Elements of the big group are pairs (a, b) with a mod p, b mod p-1 and
+    G's element (a, b), with a mod p and b mod m, has the number a*m + b, and
     (a1,b1)(a2,b2) = (a1 + g^b1 * a2, b1 + b2) for the smallest primitive
-    root g; the complement is the subset a = 0.
+    root g.  H is the subset a = 0: its element b is G's number b, so H's
+    tables are G's restricted to the numbers below m and no embedding map is
+    needed.  G is generated by (1, 0) and (0, 1), the numbers m and 1; H by 1.
     """
     if not supported_p(p):
         raise ValueError(f"p must be an odd prime <= {MAX_PRIME}, got {p}")
@@ -154,29 +151,20 @@ def base_group(p: int) -> BasePair:
     exps = index_exponents(p)
     islots = tuple(sorted(exps))
     powg = [pow(g, b, p) for b in range(m)]
-
-    def gmult(x, y):
-        return ((x[0] + powg[x[1]] * y[0]) % p, (x[1] + y[1]) % m)
-
-    def ginv(x):
-        b = (-x[1]) % m
-        return ((-x[0] * powg[b]) % p, b)
-
-    g_elements = [(a, b) for a in range(p) for b in range(m)]
+    g_elements = [(a, b) for a in range(p) for b in range(m)]  # in number order
+    mul = [[(a1 + powg[b1] * a2) % p * m + (b1 + b2) % m for a2, b2 in g_elements]
+           for a1, b1 in g_elements]
+    inv = [-a * powg[-b % m] % p * m + -b % m for a, b in g_elements]
     g_mono = []
     for i in range(1, p + 1):
         if i == r:
-            g_mono.append(tuple((p - 1 if (a, b) == (0, 0) else (-1 if b == 0 else 0), 0)
+            g_mono.append(tuple((p - 1 if a == b == 0 else (-1 if b == 0 else 0), 0)
                                 for (a, b) in g_elements))
         else:
             g_mono.append(tuple((1, exps[i] * b % m) for (a, b) in g_elements))
-    G = BaseGroup("G", g_elements, (0, 0), gmult, ginv, m, [(1, 0), (0, 1)], tuple(g_mono))
-
-    h_elements = list(range(m))
-    h_mono = tuple(tuple((1, exps[i] * b % m) for b in h_elements) for i in islots)
-    H = BaseGroup(
-        "H", h_elements, 0, lambda x, y: (x + y) % m, lambda x: (-x) % m, m, [1], h_mono
-    )
+    G = BaseGroup("G", g_elements, mul, inv, m, [m, 1], tuple(g_mono))
+    h_mono = tuple(tuple((1, exps[i] * b % m) for b in range(m)) for i in islots)
+    H = BaseGroup("H", range(m), [row[:m] for row in mul[:m]], inv[:m], m, [1], h_mono)
     return BasePair(p, r, islots, g, G, H)
 
 
@@ -299,53 +287,48 @@ class WreathGroup:
         digits, sigma = self._split(j)
         return tuple(self.base.elements[d] for d in digits), sigma
 
-    def _generators(self) -> list:
-        """The base generators in coordinate 0, the transposition (0 1) and
-        the w-cycle: together they generate the wreath product."""
-        w, e, ident = self.w, self.base.identity, tuple(range(self.w))
-        gens = [((b,) + (e,) * (w - 1), ident) for b in self.base.generators] if w else []
-        if w >= 2:
-            gens += [((e,) * w, (1, 0) + ident[2:]), ((e,) * w, ident[1:] + (0,))]
-        return list(dict.fromkeys(gens))
+    def _generators(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """(base generator numbers, permutations): the base generators in
+        coordinate 0, the transposition (0 1) and the w-cycle together
+        generate the wreath product.  At w = 2 the two permutations agree."""
+        w, ident = self.w, tuple(range(self.w))
+        perms = [(1, 0) + ident[2:], ident[1:] + (0,)] if w >= 2 else []
+        return list(self.base.generators) if w else [], list(dict.fromkeys(perms))
 
     def _conjugates(self, generators):
-        """Conjugation by each generator as a map on ids.  Conjugating (f,
-        sigma) by a permutation pi gives (f o pi^-1, pi sigma pi^-1): one map
-        on f-ranks and one on perm ranks.  Conjugating by b in coordinate 0
-        multiplies coordinate 0 by b on the left and coordinate sigma(0) by
-        b^-1 on the right: one map on f-ranks for each value of sigma(0)."""
+        """Conjugation by each generator, given as (base generator numbers,
+        permutations), as a map on ids.  Conjugating (f, sigma) by a
+        permutation pi gives (f o pi^-1, pi sigma pi^-1): one map on f-ranks
+        and one on perm ranks.  Conjugating by b in coordinate 0 multiplies
+        coordinate 0 by b on the left and coordinate sigma(0) by b^-1 on the
+        right: one map on f-ranks for each value of sigma(0)."""
+        base_gens, perms = generators
         base, w, nperms = self.base, self.w, len(self._perms)
         n, mul, inv = len(base.elements), base.mul_table, base.inv_table
         weights = [n ** (w - 1 - i) for i in range(w)]
         f_digits = list(product(range(n), repeat=w))
-        e = base.index[base.identity]
 
         def rank(d):
             return sum(x * wt for x, wt in zip(d, weights))
 
         perm_maps, base_maps = [], []
-        for f, sigma in generators:
-            f = [base.index[x] for x in f]
-            if all(x == e for x in f):
-                pinv = _inv_perm(sigma)
-                f_map = [rank([d[i] for i in pinv]) for d in f_digits]
-                p_map = [self._perm_rank[tuple(sigma[s[i]] for i in pinv)] for s in self._perms]
-                perm_maps.append((f_map, p_map))
-            elif sigma == tuple(range(w)) and all(x == e for x in f[1:]):
-                b, bi = f[0], inv[f[0]]
-                maps = []
-                for c in range(w):  # c = sigma(0)
-                    row = []
-                    for d in f_digits:
-                        d = list(d)
-                        d[0] = mul[b][d[0]]
-                        d[c] = mul[d[c]][bi]
-                        row.append(rank(d))
-                    maps.append(row)
-                base_maps.append(maps)
-            else:
-                raise ValueError(f"generator {(f, sigma)} is neither a permutation "
-                                 "nor a base element in coordinate 0")
+        for sigma in perms:
+            pinv = _inv_perm(sigma)
+            f_map = [rank([d[i] for i in pinv]) for d in f_digits]
+            p_map = [self._perm_rank[tuple(sigma[s[i]] for i in pinv)] for s in self._perms]
+            perm_maps.append((f_map, p_map))
+        for b in base_gens:
+            bi = inv[b]
+            maps = []
+            for c in range(w):  # c = sigma(0)
+                row = []
+                for d in f_digits:
+                    d = list(d)
+                    d[0] = mul[b][d[0]]
+                    d[c] = mul[d[c]][bi]
+                    row.append(rank(d))
+                maps.append(row)
+            base_maps.append(maps)
         first = [s[0] for s in self._perms] if base_maps else []
 
         def conjugates(j):
@@ -391,11 +374,6 @@ class WreathGroup:
         self._rep_ids = tuple(reps)
 
 
-def group_order(p: int, w: int, kind: str) -> int:
-    base_size = p * (p - 1) if kind == "G" else p - 1
-    return base_size**w * factorial(w)
-
-
 @cache
 def _wreath_cached(p: int, w: int, kind: str) -> WreathGroup:
     pair = base_group(p)
@@ -406,7 +384,8 @@ def wreath_group(
     p: int, w: int, kind: str = "G", guard: Optional[int] = None
 ) -> WreathGroup:
     """Enumerated wreath product; refuses to build more than `guard` elements
-    (default 10^6)."""
+    (default 10^6).  The order |base|^w * w! is multiplied out factor by
+    factor only until it passes the guard, so a huge w is refused at once."""
     if kind not in ("G", "H"):
         raise ValueError("kind must be 'G' or 'H'")
     if type(w) is not int:
@@ -414,13 +393,16 @@ def wreath_group(
     if w < 0:
         raise ValueError(f"w must be nonnegative, got {w}")
     base_group(p)  # validates p
-    order = group_order(p, w, kind)
     limit = DEFAULT_GUARD if guard is None else guard
+    base_size = p * (p - 1) if kind == "G" else p - 1
+    order = 1
+    for factor in chain(repeat(base_size, w), range(2, w + 1)):
+        if order > limit:
+            break
+        order *= factor
     if order > limit:
-        raise GuardError(
-            f"{kind}-wreath product for p={p}, w={w} has {order} elements, "
-            f"beyond the guard of {limit}"
-        )
+        raise GuardError(f"{kind}-wreath product for p={p}, w={w} exceeds the element "
+                         f"guard of {limit}")
     return _wreath_cached(p, w, kind)
 
 
@@ -566,18 +548,18 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
 
 def restrict_to_h(gw: WreathGroup, hw: WreathGroup, chi: ClassFunction) -> ClassFunction:
     """View a class function of the big wreath product as one of the small
-    wreath product sitting inside it coordinate-wise: base digit b of an H id
-    becomes the G number of (0, b), and the permutation rank stays."""
+    wreath product sitting inside it coordinate-wise.  H's element numbers
+    are G's numbers below m, so the base digits of an H id read as G digits
+    as they stand, and the permutation rank stays."""
     pair = base_group(gw.base.value_order + 1)
     if gw.base is not pair.G or hw.base is not pair.H or hw.w != gw.w or chi.group is not gw:
         raise ValueError("restrict_to_h takes a class function of gw and gw's H-wreath product")
-    embed = [gw.base.index[(0, b)] for b in hw.base.elements]
     n, nperms = len(gw.base.elements), len(gw._perms)
     values = []
     for j in hw._rep_ids:
         f = 0
         for d in hw._split(j)[0]:
-            f = f * n + embed[d]
+            f = f * n + d
         values.append(chi.values[gw.class_of_index[f * nperms + j % nperms]])
     return ClassFunction(hw, values)
 
@@ -608,12 +590,11 @@ def oracle_restriction(
 def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
     """Induction of (i-th linear extension) x (alpha) from the small wreath
     product, embedded coordinate-wise, up to the big one on the same letters.
-    The i-th linear complement character is moved onto the embedded
-    complement, so its domain makes the block subgroup the small wreath
-    product."""
-    theta = [None] * len(pair.G.elements)
-    for b, v in zip(pair.H.elements, pair.H.monomials[pair.islots.index(i)]):
-        theta[pair.G.index[(0, b)]] = v
+    The i-th linear complement character, listed on H's numbers, which are
+    G's first m, is padded with None over the rest of G, so its domain makes
+    the block subgroup the small wreath product."""
+    table = pair.H.monomials[pair.islots.index(i)]
+    theta = list(table) + [None] * (len(pair.G.elements) - len(table))
     return induce(gw, [(0, gw.w, theta, alpha)])
 
 
@@ -689,7 +670,7 @@ def base_group_claims(p: int) -> list[ClaimResult]:
     # the degree-(p-1) character vanishes off the normal subgroup and its
     # restriction to the complement is (p-1) at the identity, 0 elsewhere
     psi_r = G.monomials[pair.r - 1]
-    res = tuple(_cyclotomic(m, *psi_r[G.index[(0, b)]]) for b in H.elements)
+    res = tuple(_cyclotomic(m, *psi_r[b]) for b in H.elements)
     expected = tuple(
         Cyclotomic.from_rational(m, p - 1 if b == 0 else 0) for b in H.elements
     )
@@ -791,17 +772,15 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
     out = []
     lams = generate_partitions(w)
     mul_g, mul_h = gw.base.mul_table, hw.base.mul_table
-    embed = [gw.base.index[(0, b)] for b in hw.base.elements]
     h_elems = [hw._split(j) for j in range(hw.order)]
     for i in pair.islots:
         big_table = pair.G.monomials[i - 1]
         small_table = pair.H.monomials[pair.islots.index(i)]
         ok = True
         for f, sigma in h_elems:
-            big_f = [embed[x] for x in f]
             for lam in lams:
                 # c z^k = -c z^(k + m/2), so monomials compare as cyclotomics
-                big = _monomial(mul_g, big_table, lam, big_f, sigma)
+                big = _monomial(mul_g, big_table, lam, f, sigma)
                 small = _monomial(mul_h, small_table, lam, f, sigma)
                 ok = ok and (big == small or _cyclotomic(m, *big) == _cyclotomic(m, *small))
         out.append(
@@ -813,14 +792,12 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
             )
         )
     psi_r = pair.G.monomials[pair.r - 1]
-    identity = gw.base.index[(0, 0)]
     trivial = (w,) if w else ()
     ok = True
     for f, sigma in h_elems:
-        big_f = [embed[x] for x in f]
-        got = _cyclotomic(m, *_monomial(mul_g, psi_r, trivial, big_f, sigma))
-        prods = _cycle_product_ids(mul_g, big_f, perm_cycles(sigma)[0])
-        expected = (p - 1) ** len(prods) if all(x == identity for x in prods) else 0
+        got = _cyclotomic(m, *_monomial(mul_g, psi_r, trivial, f, sigma))
+        prods = _cycle_product_ids(mul_g, f, perm_cycles(sigma)[0])
+        expected = (p - 1) ** len(prods) if not any(prods) else 0
         ok = ok and got == expected
     out.append(_claim("heavy_extension_closed_form", {"p": p, "w": w}, True, ok))
     return out

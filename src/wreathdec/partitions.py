@@ -9,7 +9,7 @@ decreasing), so every matrix built downstream has a reproducible layout.
 from __future__ import annotations
 
 import json
-from functools import cache
+from functools import cache, wraps
 from typing import NamedTuple
 
 Partition = tuple[int, ...]
@@ -30,6 +30,32 @@ def check_partition(parts) -> Partition:
     return parts
 
 
+def check_size(x, name: str) -> int:
+    """Validate a size argument by the rule of check_partition: it must be an
+    int, not a bool, float or str."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    return x
+
+
+def _cache_sizes(fn):
+    """functools.cache over fn, whose arguments are all sizes, each checked
+    by check_size before the cache lookup: 2.0 and True hash like 2 and 1, so
+    a check on a cache miss only would answer them from the cache.  Keeps
+    cache_info, cache_clear and __wrapped__ (fn) as functools.cache does."""
+    cached = cache(fn)
+    names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+
+    @wraps(fn)
+    def checked(*sizes):
+        for x, name in zip(sizes, names):
+            check_size(x, name)
+        return cached(*sizes)
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
+
+
 def is_odd_prime(p: int) -> bool:
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
@@ -41,7 +67,7 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-@cache
+@_cache_sizes
 def generate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, lexicographically decreasing: (n,) first, (1,)*n last.
 
@@ -78,7 +104,7 @@ def generate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@cache
+@_cache_sizes
 def generate_multipartitions(w: int, t: int) -> tuple[MultiPartition, ...]:
     """All t-tuples of partitions of total size w.
 

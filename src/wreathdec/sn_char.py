@@ -14,6 +14,7 @@ from .partitions import (
     Partition,
     beta_numbers,
     check_partition,
+    check_size,
     generate_partitions,
     hook_lengths,
     partition_from_beta,
@@ -43,9 +44,7 @@ def _strip_hooks(lam: Partition, t: int) -> list[tuple[int, Partition]]:
 
 @lru_cache(maxsize=None)
 def _mn(lam: Partition, rho: Partition) -> int:
-    """Validated here, so only cache misses pay."""
-    check_partition(lam)
-    check_partition(rho)
+    """Unchecked: mn_value validates before the cache lookup."""
     if not rho:
         return 1
     t, rest = rho[0], rho[1:]
@@ -53,7 +52,10 @@ def _mn(lam: Partition, rho: Partition) -> int:
 
 
 def mn_value(lam: Partition, rho: Partition) -> int:
-    """Character value of the irreducible labelled by lam at cycle type rho."""
+    """Character value of the irreducible labelled by lam at cycle type rho.
+    Both are checked before the cache lookup, where (1, 1.0) would hit the
+    entry of (1, 1)."""
+    lam, rho = check_partition(lam), check_partition(rho)
     if sum(lam) != sum(rho):
         raise ValueError(f"|{lam}| != |{rho}|")
     return _mn(lam, rho)
@@ -85,7 +87,7 @@ def character_table_sn(k: int) -> list[list[int]]:
     Rows are partitions of k in generate_partitions order (labels), columns
     the cycle types in the same order.
     """
-    if not 1 <= k <= TABLE_GUARD:
+    if not 1 <= check_size(k, "k") <= TABLE_GUARD:
         raise ValueError(f"k must be in 1..{TABLE_GUARD}, got {k}")
     types = generate_partitions(k)
     return [[mn_value(lam, rho) for rho in types] for lam in types]

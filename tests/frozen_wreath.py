@@ -1,20 +1,59 @@
 """The tuple-level forms the oracle once kept beside its int ids and tables.
 
-The oracle keeps one form of each object: a wreath element is an int id and a
-base character is a monomial table listed by element number.  The tests hold
-those forms against the original ones, kept here: element tuples (f, sigma)
-with their multiplication, inverse, encoding to ids, cycle products, cycle
-labels and the coordinate-wise embedding of the small wreath product, and
-the base character tables as exact cyclotomics keyed by base element, built
-from the original root-of-unity formulas.
+The oracle keeps one form of each object: a base element is a number, a
+wreath element is an int id and a base character is a monomial table listed
+by element number.  The tests hold those forms against the original ones,
+kept here: the base groups' law on element names, (a, b) in the big group and
+b in its complement, with identity, inverse, generators and the index of each
+name; element tuples (f, sigma) with their multiplication, inverse, encoding
+to ids, cycle products, cycle labels and the coordinate-wise embedding of the
+small wreath product; and the base character tables as exact cyclotomics
+keyed by base element, built from the original root-of-unity formulas.
 """
 
 from functools import cache, reduce
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 from wreathdec.cyclotomic import Cyclotomic, root_of_unity
-from wreathdec.oracle import index_exponents, perm_cycles
+from wreathdec.oracle import index_exponents, perm_cycles, primitive_root
+
+
+class FrozenLaw(NamedTuple):
+    identity: object
+    mult: object
+    inv: object
+    generators: tuple
+    index: dict
+
+
+@cache
+def _frozen_law(name, p):
+    m = p - 1
+    if name == "H":
+        return FrozenLaw(0, lambda x, y: (x + y) % m, lambda x: (-x) % m, (1,),
+                         {b: b for b in range(m)})
+    powg = [pow(primitive_root(p), b, p) for b in range(m)]
+
+    def mult(x, y):
+        return ((x[0] + powg[x[1]] * y[0]) % p, (x[1] + y[1]) % m)
+
+    def inv(x):
+        b = (-x[1]) % m
+        return ((-x[0] * powg[b]) % p, b)
+
+    elements = [(a, b) for a in range(p) for b in range(m)]
+    return FrozenLaw((0, 0), mult, inv, ((1, 0), (0, 1)),
+                     {e: i for i, e in enumerate(elements)})
+
+
+def frozen_law(base):
+    """The original law of a base group on its element names: the big group's
+    pairs (a, b) with (a1,b1)(a2,b2) = (a1 + g^b1 * a2, b1 + b2), g the
+    smallest primitive root, numbered in the order a, then b; the
+    complement's b mod p - 1 under addition."""
+    return _frozen_law(base.name, base.value_order + 1)
 
 
 def _inv_perm(sigma):
@@ -25,14 +64,14 @@ def _inv_perm(sigma):
 
 
 def frozen_identity(group):
-    return ((group.base.identity,) * group.w, tuple(range(group.w)))
+    return ((frozen_law(group.base).identity,) * group.w, tuple(range(group.w)))
 
 
 def frozen_mult(group, x, y):
     f, s = x
     f2, t = y
     sinv = _inv_perm(s)
-    bm = group.base.mult
+    bm = frozen_law(group.base).mult
     return (
         tuple(bm(f[i], f2[sinv[i]]) for i in range(group.w)),
         tuple(s[t[i]] for i in range(group.w)),
@@ -41,7 +80,8 @@ def frozen_mult(group, x, y):
 
 def frozen_inv(group, x):
     f, s = x
-    return (tuple(group.base.inv(f[s[j]]) for j in range(group.w)), _inv_perm(s))
+    bi = frozen_law(group.base).inv
+    return (tuple(bi(f[s[j]]) for j in range(group.w)), _inv_perm(s))
 
 
 @cache
@@ -56,7 +96,7 @@ def frozen_encode(group, elem):
     f, sigma = elem
     if len(f) != group.w:
         raise KeyError(elem)
-    n, index = len(group.base.elements), group.base.index
+    n, index = len(group.base.elements), frozen_law(group.base).index
     rank = 0
     for x in f:
         rank = rank * n + index[x]
@@ -67,7 +107,7 @@ def frozen_cycle_products(base, f, sigma):
     """One base-group element per cycle of sigma, each the product of the
     coordinates of f along the cycle in product order."""
     cycles, _ = perm_cycles(sigma)
-    return [reduce(base.mult, (f[i] for i in cyc)) for cyc in cycles]
+    return [reduce(frozen_law(base).mult, (f[i] for i in cyc)) for cyc in cycles]
 
 
 def frozen_class_label(group, elem):

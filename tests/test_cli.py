@@ -300,6 +300,23 @@ def test_bad_guard_env_is_an_error(value):
     assert "WREATH_GUARD_ELEMS" in line
 
 
+def test_guard_env_of_more_digits_than_int_converts_is_an_error():
+    """int() refuses more than 4300 digits, which raised a ValueError."""
+    line = run_failing("verify", "--p", "3", "--w", "1", "--quiet", WREATH_GUARD_ELEMS="9" * 5000)
+    assert "WREATH_GUARD_ELEMS must have at most 4300 digits, got 5000" in line
+
+
+def test_weight_far_beyond_the_guard_is_a_skip(capsys):
+    """The order at w = 1250 has more digits than str() converts, which once
+    ended `verify` in a traceback and exit code 1."""
+    code, out = run_cli(capsys, "verify", "--p", "3", "--w", "1250", "--quiet")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["skipped"] == 1 and payload["failed"] == 0
+    assert payload["claims"][-1]["computed"] == (
+        "G-wreath product for p=3, w=1250 exceeds the element guard of 1000000")
+
+
 def test_verify_rejects_negative_weight():
     assert "w must be nonnegative" in run_failing("verify", "--p", "3", "--w", "-1")
 

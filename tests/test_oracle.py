@@ -16,6 +16,7 @@ from frozen_wreath import (
     frozen_encode,
     frozen_identity,
     frozen_inv,
+    frozen_law,
     frozen_mult,
 )
 
@@ -78,8 +79,8 @@ def test_base_group_shape():
     for slot, i in enumerate(pair.islots):
         for b in pair.H.elements:
             assert g_irr[i - 1][(0, b)] == h_irr[slot][b]
-            assert (pair.G.monomials[i - 1][pair.G.index[(0, b)]]
-                    == pair.H.monomials[slot][pair.H.index[b]])
+            assert (pair.G.monomials[i - 1][frozen_law(pair.G).index[(0, b)]]
+                    == pair.H.monomials[slot][frozen_law(pair.H).index[b]])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
@@ -122,14 +123,14 @@ def test_group_law_and_inverses():
 
 def test_cycle_products():
     g2 = wreath_group(3, 2, "G")
-    base = g2.base
+    base, law = g2.base, frozen_law(g2.base)
     x, y = (1, 0), (2, 1)
     assert frozen_cycle_products(base, (x, y), (0, 1)) == [x, y]
-    assert frozen_cycle_products(base, (x, y), (1, 0)) == [base.mult(x, y)]
+    assert frozen_cycle_products(base, (x, y), (1, 0)) == [law.mult(x, y)]
     # the library's product on element numbers agrees on every element
     for j in range(g2.order):
         f, sigma = g2.elements[j]
-        digits = [base.index[z] for z in f]
+        digits = [law.index[z] for z in f]
         got = _cycle_product_ids(base.mul_table, digits, perm_cycles(sigma)[0])
         assert [base.elements[z] for z in got] == frozen_cycle_products(base, f, sigma)
 
@@ -302,6 +303,38 @@ def test_guard():
     with pytest.raises(GuardError):
         wreath_group(3, 3, "G", guard=1000)
     assert wreath_group(3, 1, "G", guard=1000).order == 6
+
+
+def test_guard_refuses_a_huge_weight_at_once():
+    """The guard multiplied the whole order out first, 17 s of factorial at
+    w = 10^6.  A child process with a timeout makes a slow guard fail, not
+    hang."""
+    code = textwrap.dedent(
+        """
+        import time
+        from wreathdec.oracle import verify_suite
+        start = time.perf_counter()
+        claim = verify_suite(3, 10**9)[-1]
+        print(time.perf_counter() - start < 1.0, claim.status, claim.computed, sep="|")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("True|skip|G-wreath product for p=3, w=1000000000 exceeds the "
+                           "element guard of 1000000\n")
+
+
+@pytest.mark.parametrize("w,guard", [(0, 0), (1, 5), (2, 71), (3, 1295)])
+def test_guard_refuses_exactly_the_orders_above_it(w, guard):
+    """The guard compares the whole order, |G base|^w * w! = 1, 6, 72 and
+    1296 here, though it multiplies only until the product passes."""
+    with pytest.raises(GuardError, match=f"w={w} exceeds the element guard of {guard}$"):
+        wreath_group(3, w, "G", guard=guard)
+    assert wreath_group(3, w, "G", guard=guard + 1).order == guard + 1
 
 
 def test_verify_suite_small():

@@ -17,9 +17,9 @@ The oracle now also numbers elements by int ids, closes orbits under int
 conjugation maps, and sums values as monomials in the group ring of the
 cyclic group of order p - 1.  The tuple-level class build and the
 cyclotomic inner product it replaced are frozen here too.  The oracle keeps
-only ids and monomial tables listed by element number; the element tuples,
-their group law and encoding, and the cyclotomic base tables come from
-`frozen_wreath`.  The blocks below carry each base table in both forms: the
+only ids, base element numbers and monomial tables listed by element number;
+the base groups' law on element names, the element tuples, their group law
+and encoding, and the cyclotomic base tables come from `frozen_wreath`.  The blocks below carry each base table in both forms: the
 cyclotomic one for the frozen references, the monomial one for the oracle.
 """
 
@@ -38,6 +38,7 @@ from frozen_wreath import (
     frozen_identity,
     frozen_inv,
     frozen_irr,
+    frozen_law,
     frozen_mult,
 )
 
@@ -51,7 +52,6 @@ from wreathdec.oracle import (
     _cyclotomic,
     _split_label,
     base_group,
-    group_order,
     induce,
     inner_product,
     parametrized_character,
@@ -96,8 +96,9 @@ def frozen_build_classes(group):
         (f, s) for f in product(base.elements, repeat=w) for s in permutations(range(w))
     )
     index = {e: i for i, e in enumerate(elements)}
-    e, ident = base.identity, tuple(range(w))
-    gens = [((b,) + (e,) * (w - 1), ident) for b in base.generators] if w else []
+    law, ident = frozen_law(base), tuple(range(w))
+    e = law.identity
+    gens = [((b,) + (e,) * (w - 1), ident) for b in law.generators] if w else []
     if w >= 2:
         gens += [((e,) * w, (1, 0) + ident[2:]), ((e,) * w, ident[1:] + (0,))]
     reps, members, assigned = frozen_orbits(
@@ -207,11 +208,12 @@ def test_classes_match_full_conjugation(p, w, kind):
 
 def frozen_base_classes(base):
     """Full conjugation of each unassigned element: (reps, sizes, class_of)."""
+    law = frozen_law(base)
     class_of, reps, sizes = {}, [], []
     for g in base.elements:
         if g in class_of:
             continue
-        orbit = {base.mult(base.mult(x, g), base.inv(x)) for x in base.elements}
+        orbit = {law.mult(law.mult(x, g), law.inv(x)) for x in base.elements}
         for y in orbit:
             class_of[y] = len(reps)
         reps.append(g)
@@ -228,11 +230,37 @@ def test_base_classes_match_full_conjugation(p):
         assert dict(zip(base.elements, base.class_of_index)) == class_of
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_base_tables_are_the_frozen_law_on_numbers(p):
+    """G's element (a, b) is the number a*m + b, m = p - 1, so H's element b
+    is G's number b: G's tables are the frozen law on those numbers, H's are
+    G's restricted to the numbers below m and the frozen H law, and number 0
+    is the identity of both."""
+    pair = base_group(p)
+    G, H, m = pair.G, pair.H, p - 1
+    g_law, h_law = frozen_law(G), frozen_law(H)
+
+    def number(x):
+        return x[0] * m + x[1]
+
+    assert [number(x) for x in G.elements] == [g_law.index[x] for x in G.elements]
+    assert number(g_law.identity) == h_law.identity == 0
+    for x in G.elements:
+        assert G.inv_table[number(x)] == number(g_law.inv(x))
+        assert G.mul_table[number(x)] == [number(g_law.mult(x, y)) for y in G.elements]
+    assert H.mul_table == [row[:m] for row in G.mul_table[:m]]
+    assert H.inv_table == G.inv_table[:m]
+    assert H.mul_table == [[h_law.mult(x, y) for y in range(m)] for x in range(m)]
+    assert H.inv_table == [h_law.inv(x) for x in range(m)]
+    assert G.generators == tuple(map(number, g_law.generators)) == (m, 1)
+    assert H.generators == h_law.generators == (1,)
+
+
 @pytest.mark.parametrize("kept", [0, 1])
 def test_wrong_base_classes_fail_the_orbit_check(kept, monkeypatch):
     pair = base_group(3)
     G = pair.G
-    bad = BaseGroup("G", G.elements, G.identity, G.mult, G.inv, G.value_order,
+    bad = BaseGroup("G", G.elements, G.mul_table, G.inv_table, G.value_order,
                     G.generators[kept : kept + 1])
     assert bad.class_sizes != G.class_sizes
     monkeypatch.setattr(oracle, "base_group", lambda p: pair._replace(G=bad))
@@ -270,8 +298,8 @@ def linear_induction(p, k, i, alpha):
     theta = {(0, b): v for b, v in frozen_irr(pair.H)[slot].items()}
     theta_mono = [None] * len(pair.G.elements)  # by G number, off the complement None
     for b, v in zip(pair.H.elements, pair.H.monomials[slot]):
-        theta_mono[pair.G.index[(0, b)]] = v
-    return [(0, k, theta, theta_mono, alpha)], group_order(p, k, "H")
+        theta_mono[frozen_law(pair.G).index[(0, b)]] = v
+    return [(0, k, theta, theta_mono, alpha)], (p - 1) ** k * factorial(k)
 
 
 def split_blocks(p, k, j_range=None):
@@ -323,11 +351,13 @@ def test_class_sum_induction_matches_whole_group_average(p):
 @pytest.mark.parametrize("kind", ["G", "H"])
 def test_every_generator_is_needed_for_the_orbit_check(kind):
     group = WreathGroup(getattr(base_group(3), kind), 3)
-    gens = group._generators()
-    assert len(gens) == len(group.base.generators) + 2
-    for dropped in range(len(gens)):
+    base_gens, perms = group._generators()
+    assert base_gens == list(group.base.generators) and len(perms) == 2
+    short = [(base_gens[:i] + base_gens[i + 1 :], perms) for i in range(len(base_gens))]
+    short += [(base_gens, perms[:i] + perms[i + 1 :]) for i in range(len(perms))]
+    for gens in short:
         with pytest.raises(RuntimeError, match="disagree"):
-            group._build_classes(gens[:dropped] + gens[dropped + 1 :])
+            group._build_classes(gens)
 
 
 def test_orbits_coarser_than_the_labels_fail_the_orbit_check(monkeypatch):
@@ -398,7 +428,7 @@ def test_induction_evaluates_each_element_of_the_subgroup_once(p, k):
             value = _cyclotomic(m, prod(part[1] for part in parts), sum(part[2] for part in parts))
             assert chi0(gw.elements[i]) == value, gw.elements[i]
         assert len(ids) == order
-    assert order == group_order(p, k, "H")
+    assert order == wreath_group(p, k, "H").order
 
 
 def test_verify_suite_releases_its_groups():

@@ -1,7 +1,10 @@
+import re
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
+
+import wreathdec as wd
 
 from wreathdec.partitions import (
     beta_numbers,
@@ -266,6 +269,42 @@ def test_core_quotient_entry_points_validate(call, message):
 def test_check_partition_rejects_parts_that_are_not_ints(parts):
     with pytest.raises(ValueError, match="must be ints"):
         check_partition(parts)
+
+
+@pytest.mark.parametrize("call,warm,message", [
+    (lambda: wd.generate_partitions(2.0), lambda: wd.generate_partitions(2),
+     "n must be an int, got 2.0"),
+    (lambda: wd.generate_multipartitions(1.5, 2), lambda: wd.generate_multipartitions(1, 2),
+     "w must be an int, got 1.5"),
+    (lambda: wd.generate_multipartitions(2, True), lambda: wd.generate_multipartitions(2, 1),
+     "t must be an int, got True"),
+    (lambda: wd.basic_set(2.0, 3), lambda: wd.basic_set(2, 3), "n must be an int, got 2.0"),
+    (lambda: wd.block_partition(True, 3), lambda: wd.block_partition(1, 3),
+     "n must be an int, got True"),
+    (lambda: wd.k_matrix(3, 1.0), lambda: wd.k_matrix(3, 1), "w must be an int, got 1.0"),
+    (lambda: wd.gram_matrix(3, "1"), lambda: wd.gram_matrix(3, 1), "w must be an int, got '1'"),
+    (lambda: wd.character_table_sn(2.5), lambda: wd.character_table_sn(2),
+     "k must be an int, got 2.5"),
+    (lambda: wd.character_table_sn("1"), lambda: wd.character_table_sn(1),
+     "k must be an int, got '1'"),
+    (lambda: wd.restriction_expansion((2, 1.0), 1), lambda: wd.restriction_expansion((2, 1), 1),
+     "partition parts must be ints"),
+    (lambda: wd.restriction_expansion((2, 1), 1.0), lambda: wd.restriction_expansion((2, 1), 1),
+     "j must be an int, got 1.0"),
+    (lambda: wd.mn_value((2,), (1, "1")), lambda: wd.mn_value((2,), (1, 1)),
+     "partition parts must be ints"),
+    (lambda: wd.mn_value((2,), (1, 1.0)), lambda: wd.mn_value((2,), (1, 1)),
+     "partition parts must be ints"),
+], ids=["partitions", "multipartitions_w", "multipartitions_t", "basic_set", "block_partition",
+        "k_matrix", "gram_matrix", "table_float", "table_str", "expansion_alpha",
+        "expansion_j", "mn_str", "mn_float"])
+def test_sizes_that_are_not_ints_are_refused(call, warm, message):
+    """Each raised TypeError or, for a bool or a float equal to an int,
+    answered as that int before.  The int call runs first, so an answer from
+    a cache would show."""
+    warm()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_parse_partition_rejects_booleans():
