@@ -202,6 +202,10 @@ VERIFY_DIGESTS = {
     ("7", "1", "json"): "1f7c4ccb8f0c22e058ba0ec1b85bdb9794421bf7c46960436694c059deb700dc",
     ("7", "1", "csv"): "c89aad0b62c27515ccd32887a3e5b9b03c44b5889cc02839a8cc7151875f32c3",
     ("11", "2", "json"): "76e7f44b5f7e7118ad62a040ceb75c7e49d1fe22c520af304acb26f10f428274",
+    # phi(p - 1) < p - 1: the values are reduced modulo Phi_(p-1)
+    ("7", "2", "json"): "474742b89f40d47b4d3a355b9a1b5ff3966ec168aa6a8d2638a361dccf2c2eae",
+    ("13", "1", "json"): "d3dbb3caf11dd1bc9906a62951a454029290494d8456e97bac95eb788a073c83",
+    ("17", "1", "json"): "b1a32e466bf9ecbb35d9239c0cb5cb34d3a48ea21c5a07918edbac47644a0e67",
 }
 
 
