@@ -22,18 +22,20 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-@cache
 def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     """c^alpha_{beta,gamma}: multiplicity of alpha in the product of beta and gamma.
 
     Counts fillings of the skew shape alpha/beta with content gamma that are
     semistandard and whose reverse reading word (rows top to bottom, each read
     right to left) is a lattice word.  Zero when the sizes do not match or
-    beta is not contained in alpha.  The arguments are validated on a cache
-    miss only.
+    beta is not contained in alpha.  The arguments are checked before the
+    cache lookup, where (2, 1.0) would hit the entry of (2, 1).
     """
-    for lam in (alpha, beta, gamma):
-        check_partition(lam)
+    return _lr_coefficient(*map(check_partition, (alpha, beta, gamma)))
+
+
+@cache
+def _lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     if sum(alpha) != sum(beta) + sum(gamma) or not contains(alpha, beta):
         return 0
     if not gamma:
@@ -69,6 +71,11 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
         return total
 
     return fill(0)
+
+
+# the cache is read and cleared through the public name, as with functools.cache
+lr_coefficient.cache_info = _lr_coefficient.cache_info
+lr_coefficient.cache_clear = _lr_coefficient.cache_clear
 
 
 def schur_product(factors: Iterable[Partition]) -> Mapping[Partition, int]:

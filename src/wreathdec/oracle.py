@@ -8,7 +8,8 @@ cycle labels), induced characters are class sums over y in c ∩ K, the
 inducing subgroup K enumerated from its blocks, and every multiplicity is an
 exact inner product of class functions.  Every character value is a monomial
 c * z^k, so class sums and inner products are taken in the group ring of the
-cyclic group of order p - 1 and reduced to the cyclotomic field once.
+cyclic group of order p - 1 and reduced once, to one row of ints per class:
+the value's coordinates in the power basis of the cyclotomic field.
 Agreement between the two routes is the whole point of this module.
 """
 
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from . import decomp
 from .cyclotomic import Cyclotomic
-from .lr import lr_coefficient
+from .lr import lr_coefficient, restriction_expansion
 from .partitions import (
     MultiPartition,
     Partition,
@@ -392,6 +393,8 @@ def wreath_group(
         raise ValueError(f"w must be an int, got {w!r}")
     if w < 0:
         raise ValueError(f"w must be nonnegative, got {w}")
+    if guard is not None and (type(guard) is not int or guard < 0):
+        raise ValueError(f"guard must be None or a nonnegative int, got {guard!r}")
     base_group(p)  # validates p
     limit = DEFAULT_GUARD if guard is None else guard
     base_size = p * (p - 1) if kind == "G" else p - 1
@@ -416,19 +419,16 @@ def conjugacy_classes(group: WreathGroup) -> list[ClassData]:
 
 
 class ClassFunction:
-    """A class function on a concretely built group, stored as one exact
-    cyclotomic value per conjugacy class."""
+    """A class function on a concretely built group, stored as one row per
+    conjugacy class: the value's coordinates in the power basis 1, z, ...,
+    z^(d-1) of the field of the (p-1)-th roots of unity, d = phi(p - 1)."""
 
-    def __init__(self, group: WreathGroup, values):
-        m = group.base.value_order
+    def __init__(self, group: WreathGroup, rows):
         self.group = group
-        self.values = tuple(
-            v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(m, v)
-            for v in values
-        )
+        self.rows = tuple(rows)
 
-    def degree(self):
-        return self.values[0].as_rational()  # class 0 holds id 0, the identity
+    def degree(self) -> int:
+        return self.rows[0][0]  # class 0 holds id 0, the identity
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
@@ -441,9 +441,9 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
         raise ValueError("class functions live on different groups")
     m = a.group.base.value_order
     total = [0] * m
-    for size, x, y in zip(a.group.class_sizes, a.values, b.values):
-        ys = [(j, v) for j, v in enumerate(y.coeffs) if v]
-        for i, u in enumerate(x.coeffs):
+    for size, x, y in zip(a.group.class_sizes, a.rows, b.rows):
+        ys = [(j, v) for j, v in enumerate(y) if v]
+        for i, u in enumerate(x):
             if u:
                 u *= size
                 for j, v in ys:
@@ -489,7 +489,9 @@ def induce(group: WreathGroup, blocks) -> ClassFunction:
     size, monomial table, lam): in each, every coordinate ranges over the
     table's domain and the letters are permuted among themselves.  The class
     sums are taken in the group ring of the order-m cyclic group, one int per
-    power of the root, and reduced to the field once per class."""
+    power of the root, and reduced to the field once per class.  Induced
+    values are algebraic integers, so a remainder in the scaling means K or a
+    class was enumerated wrongly."""
     m = group.base.value_order
     per_block = [_block_entries(group, *block) for block in blocks]
     sub_order = prod(map(len, per_block))
@@ -502,10 +504,11 @@ def induce(group: WreathGroup, blocks) -> ClassFunction:
     for i, c, e in partial:
         for j, d, k in last:
             sums[cls[i + j]][(e + k) % m] += c * d
-    return ClassFunction(group, [
-        Cyclotomic(m, [x * Fraction(group.order, sub_order * size) for x in row])
-        for row, size in zip(sums, group.class_sizes)
-    ])
+    rows = [[divmod(x * group.order, sub_order * size) for x in Cyclotomic(m, row).coeffs]
+            for row, size in zip(sums, group.class_sizes)]
+    if any(r for row in rows for _, r in row):
+        raise RuntimeError("an induced value is not an algebraic integer")
+    return ClassFunction(group, [tuple(q for q, _ in row) for row in rows])
 
 
 def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFunction:
@@ -513,15 +516,21 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     character slot: the block-wise extension tensored with symmetric-group
     characters, induced up from the block-product subgroup.  With at most one
     block that subgroup is the whole group, so the block character is
-    evaluated directly on class representatives.  The result has norm 1."""
-    if label in group._char_cache:
-        return group._char_cache[label]
-    if len(label) != len(group.base.monomials):
-        raise ValueError(f"label must have {len(group.base.monomials)} components")
+    evaluated directly on class representatives (at w = 0, the trivial table
+    with the empty partition).  The result has norm 1.  The label is checked
+    before the cache lookup, where True would hit the entry of 1 and a list
+    would not hash."""
+    slots = len(group.base.monomials)
+    if type(label) is not tuple or any(type(lam) is not tuple for lam in label):
+        raise ValueError(f"label must be a tuple of partition tuples, got {label!r}")
+    if len(label) != slots:
+        raise ValueError(f"label must have {slots} components")
     for lam in label:
         check_partition(lam)
     if sum(map(sum, label)) != group.w:
         raise ValueError(f"label size must be {group.w}")
+    if label in group._char_cache:
+        return group._char_cache[label]
     blocks = []
     start = 0
     for slot, lam in enumerate(label):
@@ -529,17 +538,15 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
         if size:
             blocks.append((start, size, group.base.monomials[slot], lam))
             start += size
-    if not blocks:
-        chi = ClassFunction(group, [1] * len(group.class_reps))
-    elif len(blocks) == 1:
-        (_, _, table, lam), = blocks
-        base = group.base
+    if len(blocks) > 1:
+        chi = induce(group, blocks)
+    else:
+        m, mul = group.base.value_order, group.base.mul_table
+        _, _, table, lam = blocks[0] if blocks else (0, 0, group.base.monomials[0], ())
         chi = ClassFunction(group, [
-            _cyclotomic(base.value_order, *_monomial(base.mul_table, table, lam, *group._split(j)))
+            _cyclotomic(m, *_monomial(mul, table, lam, *group._split(j))).coeffs
             for j in group._rep_ids
         ])
-    else:
-        chi = induce(group, blocks)
     if inner_product(chi, chi) != 1:
         raise RuntimeError(f"character {label} does not have norm 1")
     group._char_cache[label] = chi
@@ -555,13 +562,13 @@ def restrict_to_h(gw: WreathGroup, hw: WreathGroup, chi: ClassFunction) -> Class
     if gw.base is not pair.G or hw.base is not pair.H or hw.w != gw.w or chi.group is not gw:
         raise ValueError("restrict_to_h takes a class function of gw and gw's H-wreath product")
     n, nperms = len(gw.base.elements), len(gw._perms)
-    values = []
+    rows = []
     for j in hw._rep_ids:
         f = 0
         for d in hw._split(j)[0]:
             f = f * n + d
-        values.append(chi.values[gw.class_of_index[f * nperms + j % nperms]])
-    return ClassFunction(hw, values)
+        rows.append(chi.rows[gw.class_of_index[f * nperms + j % nperms]])
+    return ClassFunction(hw, rows)
 
 
 def _as_multiplicity(q: Fraction) -> int:
@@ -627,8 +634,7 @@ def verify_mackey_multiplicities(
     pair = base_group(p)
     if i not in pair.islots:
         raise ValueError(f"i must avoid the distinguished slot, got {i}")
-    for lam in (alpha, beta, gamma):
-        check_partition(lam)
+    alpha, beta, gamma = map(check_partition, (alpha, beta, gamma))
     if not 0 <= j <= k or sum(beta) != j or sum(gamma) != k - j or sum(alpha) != k:
         raise ValueError("sizes must satisfy |beta| = j, |gamma| = k - j, |alpha| = k")
     gw = wreath_group(p, k, "G", guard)
@@ -749,7 +755,7 @@ def character_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimR
                 "squared_degrees_sum_to_order",
                 params,
                 group.order,
-                sum(int(c.degree()) ** 2 for c in chars),
+                sum(c.degree() ** 2 for c in chars),
             )
         )
         degfn = decomp.degree_G if kind == "G" else decomp.degree_H
@@ -891,21 +897,18 @@ def reconstruction_claims(p: int, k: int, guard: Optional[int] = None) -> list[C
     out = []
     for i in pair.islots:
         for alpha in generate_partitions(k):
-            rhs_vals = [Cyclotomic(p - 1)] * len(gw.class_reps)
+            lhs = _linear_induced(gw, pair, i, alpha).rows
+            rhs = [[0] * len(row) for row in lhs]
             for j in range(k + 1):
-                for beta in generate_partitions(j):
-                    for gamma in generate_partitions(k - j):
-                        c = lr_coefficient(alpha, beta, gamma)
-                        if c:
-                            label = _split_label(pair, i, beta, gamma)
-                            term = parametrized_character(gw, label).values
-                            rhs_vals = [a + v * c for a, v in zip(rhs_vals, term)]
+                for beta, gamma, c in restriction_expansion(alpha, j):
+                    term = parametrized_character(gw, _split_label(pair, i, beta, gamma)).rows
+                    rhs = [[a + c * v for a, v in zip(acc, row)] for acc, row in zip(rhs, term)]
             out.append(
                 _claim(
                     "induced_linear_extension_reconstruction",
                     {"p": p, "k": k, "i": i, "alpha": alpha},
-                    tuple(_linear_induced(gw, pair, i, alpha).values),
-                    tuple(rhs_vals),
+                    tuple(Cyclotomic(p - 1, row) for row in lhs),
+                    tuple(Cyclotomic(p - 1, row) for row in rhs),
                 )
             )
     return out

@@ -7,8 +7,10 @@ kept here: the base groups' law on element names, (a, b) in the big group and
 b in its complement, with identity, inverse, generators and the index of each
 name; element tuples (f, sigma) with their multiplication, inverse, encoding
 to ids, cycle products, cycle labels and the coordinate-wise embedding of the
-small wreath product; and the base character tables as exact cyclotomics
-keyed by base element, built from the original root-of-unity formulas.
+small wreath product; the base character tables as exact cyclotomics
+keyed by base element, built from the original root-of-unity formulas; and
+class-function values as exact cyclotomics, where the oracle keeps each as a
+row of power-basis coordinates.
 """
 
 from functools import cache, reduce
@@ -17,7 +19,7 @@ from math import factorial
 from typing import NamedTuple
 
 from wreathdec.cyclotomic import Cyclotomic, root_of_unity
-from wreathdec.oracle import index_exponents, perm_cycles, primitive_root
+from wreathdec.oracle import ClassFunction, index_exponents, perm_cycles, primitive_root
 
 
 class FrozenLaw(NamedTuple):
@@ -154,3 +156,14 @@ def frozen_irr(base):
     """The frozen cyclotomic tables of one of the two base groups."""
     g_irr, h_irr = frozen_base_tables(base.value_order + 1)
     return g_irr if base.name == "G" else h_irr
+
+
+def cyclotomic_values(chi):
+    """The values of a class function, one exact cyclotomic per class."""
+    m = chi.group.base.value_order
+    return tuple(Cyclotomic(m, row) for row in chi.rows)
+
+
+def cyclotomic_class_function(group, values):
+    """The class function taking the given cyclotomic values, one per class."""
+    return ClassFunction(group, [v.coeffs for v in values])

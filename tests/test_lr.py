@@ -124,3 +124,26 @@ def test_restriction_degrees_sum():
                 for beta, gamma, c in restriction_expansion(alpha, j)
             )
             assert total == 2**k * degree(alpha)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_lr_coefficient_checks_before_the_cache(warm):
+    """With `warm` the int arguments are cached first; (1, True) and
+    (2, 1.0) hash like (1, 1) and (2, 1), so a check on a miss only would
+    answer them from the cache."""
+    lr_coefficient.cache_clear()
+    if warm:
+        assert lr_coefficient((2, 1), (1,), (1, 1)) == 1
+    for args in [((2, 1.0), (1,), (1, True)), ((2, 1), (1,), (1, True)), ((2, 1), (True,), (1, 1))]:
+        with pytest.raises(ValueError, match="partition parts must be ints"):
+            lr_coefficient(*args)
+
+
+def test_lr_coefficient_cache_is_read_through_the_public_name():
+    lr_coefficient.cache_clear()
+    assert lr_coefficient((2, 1), (1,), (1, 1)) == lr_coefficient((2, 1), (1,), (1, 1)) == 1
+    info = lr_coefficient.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # the checked tuples are the cache keys, so a list partition is answered too
+    assert lr_coefficient([2, 1], [1], [1, 1]) == 1
+    assert lr_coefficient.cache_info().hits == 2

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from frozen_wreath import (
+    cyclotomic_values,
     frozen_base_tables,
     frozen_class_label,
     frozen_cycle_products,
@@ -32,6 +34,7 @@ from wreathdec.oracle import (
     character_claims,
     conjugacy_classes,
     index_exponents,
+    induce,
     inner_product,
     mackey_claims,
     oracle_restriction,
@@ -180,7 +183,7 @@ def test_trivial_label_gives_trivial_character():
         gw = wreath_group(p, w, "G")
         label = ((w,),) + ((),) * (p - 1)  # all boxes at the trivial slot
         chi = parametrized_character(gw, label)
-        assert all(v == 1 for v in chi.values)
+        assert all(v == 1 for v in cyclotomic_values(chi))
 
 
 def test_character_degrees_and_orthogonality():
@@ -244,6 +247,13 @@ def test_mackey_validates_arguments():
         verify_mackey_multiplicities(2, 1, (2,), (1,), (1,), 3, 2)  # slot r
     with pytest.raises(ValueError):
         verify_mackey_multiplicities(1, 3, (2,), (1,), (1,), 3, 2)
+
+
+def test_mackey_takes_its_partitions_as_checked_tuples():
+    """They enter a character label, which must be a tuple of tuples."""
+    assert verify_mackey_multiplicities(1, 1, [2], [1], [1], 3, 2) == 1
+    with pytest.raises(ValueError, match="partition parts must be ints"):
+        verify_mackey_multiplicities(1, 1, (2,), (True,), (1,), 3, 2)
 
 
 def test_negative_weight_is_rejected_before_any_work():
@@ -393,6 +403,93 @@ def test_norm_check_survives_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert "does not have norm 1" in proc.stdout
+
+
+def misstated_subgroup_block(p):
+    """A one-letter block whose table's domain is the identity and the
+    number m = p - 1, the element (1, 0) of order p: two elements that do not
+    form a subgroup, so the class of (1, 0) gets |G| / (|K| |c|) = p / 2
+    times an int."""
+    table = [None] * (p * (p - 1))
+    table[0], table[p - 1] = (1, 0), (1, 1)
+    return [(0, 1, table, (1,))]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_induce_raises_on_a_remainder(p):
+    with pytest.raises(RuntimeError, match="not an algebraic integer"):
+        induce(wreath_group(p, 1, "G"), misstated_subgroup_block(p))
+
+
+def test_exact_division_check_survives_optimized_mode():
+    code = textwrap.dedent(
+        """
+        from test_oracle import misstated_subgroup_block
+        from wreathdec import oracle
+        if __debug__:
+            raise SystemExit("not running under -O")
+        try:
+            oracle.induce(oracle.wreath_group(3, 1, "G"), misstated_subgroup_block(3))
+        except RuntimeError as exc:
+            print(exc)
+        """
+    )
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "not an algebraic integer" in proc.stdout
+
+
+def test_class_function_rows_are_ints_and_degree_is_an_int():
+    for p, w in [(3, 0), (3, 2), (5, 1), (7, 1)]:
+        for kind, t in (("G", p), ("H", p - 1)):
+            group = wreath_group(p, w, kind)
+            for label in generate_multipartitions(w, t):
+                chi = parametrized_character(group, label)
+                assert {type(x) for row in chi.rows for x in row} == {int}
+                assert type(chi.degree()) is int and chi.degree() > 0
+
+
+BAD_LABELS = [
+    (((True,), (), ()), "partition parts must be ints"),
+    (((1.0,), (), ()), "partition parts must be ints"),
+    ([(1,), (), ()], "label must be a tuple of partition tuples"),
+    (([1], (), ()), "label must be a tuple of partition tuples"),
+    (((1,), ()), "label must have 3 components"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("label,message", BAD_LABELS)
+def test_labels_are_checked_before_the_character_cache(label, message, warm):
+    """A fresh group's cache is empty; with `warm` the label's int tuple is
+    cached first, and True or 1.0 would hit that entry."""
+    group = WreathGroup(base_group(3).G, 1)
+    if warm:
+        assert parametrized_character(group, ((1,), (), ())).degree() == 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parametrized_character(group, label)
+
+
+@pytest.mark.parametrize("label", [[(1,), (), ()], ([1], (), ())])
+def test_list_labels_are_refused_by_oracle_restriction(label):
+    with pytest.raises(ValueError, match="label must be a tuple of partition tuples"):
+        oracle_restriction(label, 3)
+
+
+@pytest.mark.parametrize("guard", ["10", 10.5, 2.0, True, -1])
+def test_guard_must_be_none_or_a_nonnegative_int(guard):
+    message = "guard must be None or a nonnegative int"
+    for kind in ("G", "H"):
+        with pytest.raises(ValueError, match=message):
+            wreath_group(3, 1, kind, guard=guard)
+    with pytest.raises(ValueError, match=message):
+        verify_suite(3, 1, guard=guard)
+    with pytest.raises(ValueError, match=message):
+        oracle_restriction(((1,), (), ()), 3, guard=guard)
 
 
 def test_group_of_48000_elements_has_its_65_classes():

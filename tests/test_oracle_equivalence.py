@@ -17,10 +17,13 @@ The oracle now also numbers elements by int ids, closes orbits under int
 conjugation maps, and sums values as monomials in the group ring of the
 cyclic group of order p - 1.  The tuple-level class build and the
 cyclotomic inner product it replaced are frozen here too.  The oracle keeps
-only ids, base element numbers and monomial tables listed by element number;
-the base groups' law on element names, the element tuples, their group law
-and encoding, and the cyclotomic base tables come from `frozen_wreath`.  The blocks below carry each base table in both forms: the
-cyclotomic one for the frozen references, the monomial one for the oracle.
+only ids, base element numbers, monomial tables listed by element number
+and class functions as int rows of power-basis coordinates; the base
+groups' law on element names, the element tuples, their group law and
+encoding, the cyclotomic base tables and the cyclotomic class-function
+values come from `frozen_wreath`.  The blocks below carry each base table
+in both forms: the cyclotomic one for the frozen references, the monomial
+one for the oracle.
 """
 
 import gc
@@ -31,6 +34,8 @@ from math import factorial, prod
 
 import pytest
 from frozen_wreath import (
+    cyclotomic_class_function,
+    cyclotomic_values,
     frozen_class_label,
     frozen_cycle_products,
     frozen_embed_h,
@@ -117,7 +122,7 @@ def frozen_build_classes(group):
 
 def frozen_inner_product(a, b):
     total = Cyclotomic(a.group.base.value_order)
-    for size, x, y in zip(a.group.class_sizes, a.values, b.values):
+    for size, x, y in zip(a.group.class_sizes, cyclotomic_values(a), cyclotomic_values(b)):
         total = total + x * y.conjugate() * size
     return total.as_rational() / a.group.order
 
@@ -344,7 +349,7 @@ def test_class_sum_induction_matches_whole_group_average(p):
     rows = {id(g): frozen_classes(g)[4] for g in groups}
     assert len(cases) == {3: 10, 5: 28}[p]
     for group, (blocks, order) in cases:
-        got = induce(group, oracle_blocks(blocks)).values
+        got = cyclotomic_values(induce(group, oracle_blocks(blocks)))
         assert got == frozen_block_induce(group, rows[id(group)], blocks, order)
 
 
@@ -384,8 +389,8 @@ def test_split_label_is_the_frozen_two_block_induction(p, k):
     assert {i < pair.r for i, *_ in cases} == {True, False}
     for i, _, beta, gamma, blocks, order in cases:
         frozen = frozen_block_induce(gw, rows, blocks, order)
-        assert induce(gw, oracle_blocks(blocks)).values == frozen, (i, beta, gamma)
-        got = parametrized_character(gw, _split_label(pair, i, beta, gamma)).values
+        assert cyclotomic_values(induce(gw, oracle_blocks(blocks))) == frozen, (i, beta, gamma)
+        got = cyclotomic_values(parametrized_character(gw, _split_label(pair, i, beta, gamma)))
         assert got == frozen, (i, beta, gamma)
 
 
@@ -395,12 +400,12 @@ def test_mackey_multiplicities_match_the_frozen_block_inductions():
     rows = frozen_classes(gw)[4]
     count = 0
     for i, j, beta, gamma, blocks, order in split_blocks(p, k, range(k + 1)):
-        rhs = ClassFunction(gw, frozen_block_induce(gw, rows, blocks, order))
+        rhs = cyclotomic_class_function(gw, frozen_block_induce(gw, rows, blocks, order))
         for alpha in generate_partitions(k):
             lin_blocks, lin_order = linear_induction(p, k, i, alpha)
             lhs = frozen_block_induce(gw, rows, lin_blocks, lin_order)
-            assert induce(gw, oracle_blocks(lin_blocks)).values == lhs, (i, alpha)
-            expected = inner_product(ClassFunction(gw, lhs), rhs)
+            assert cyclotomic_values(induce(gw, oracle_blocks(lin_blocks))) == lhs, (i, alpha)
+            expected = inner_product(cyclotomic_class_function(gw, lhs), rhs)
             got = verify_mackey_multiplicities(i, j, alpha, beta, gamma, p, k)
             assert got == expected, (i, j, alpha, beta, gamma)
             count += 1
@@ -475,8 +480,8 @@ def test_id_embedding_matches_the_frozen_tuple_embedding(p, w):
     class function restricted takes each G class's number as its value."""
     gw, hw = wreath_group(p, w, "G"), wreath_group(p, w, "H")
     classes = [gw.class_of_index[frozen_encode(gw, frozen_embed_h(rep))] for rep in hw.class_reps]
-    named = ClassFunction(gw, range(len(gw.class_reps)))
-    assert restrict_to_h(gw, hw, named).values == ClassFunction(hw, classes).values
+    named = ClassFunction(gw, [(c,) for c in range(len(gw.class_reps))])
+    assert restrict_to_h(gw, hw, named).rows == tuple((c,) for c in classes)
 
 
 def rational_or_irrational(ip, a, b):
@@ -499,7 +504,9 @@ def test_inner_product_matches_the_frozen_cyclotomic_sum(p, w):
                 assert got == frozen_inner_product(x, y) == (x is y)
         # a class function with a different root of unity on each class
         m = group.base.value_order
-        twist = ClassFunction(group, [root_of_unity(m, c) * (c + 1) for c in range(len(chars))])
+        twist = cyclotomic_class_function(
+            group, [root_of_unity(m, c) * (c + 1) for c in range(len(chars))]
+        )
         for chi in chars + [twist]:
             for x, y in ((twist, chi), (chi, twist)):
                 got = rational_or_irrational(inner_product, x, y)
@@ -509,7 +516,7 @@ def test_inner_product_matches_the_frozen_cyclotomic_sum(p, w):
 def test_irrational_inner_product_raises():
     h1 = wreath_group(5, 1, "H")
     trivial = parametrized_character(h1, ((1,), (), (), ()))
-    zeta = ClassFunction(h1, [root_of_unity(4, 1)] * len(h1.class_reps))
+    zeta = cyclotomic_class_function(h1, [root_of_unity(4, 1)] * len(h1.class_reps))
     with pytest.raises(ValueError, match="irrational"):
         frozen_inner_product(zeta, trivial)
     with pytest.raises(ValueError, match="irrational"):
@@ -518,6 +525,6 @@ def test_irrational_inner_product_raises():
 
 def test_inner_product_of_rational_class_functions_is_a_fraction():
     g2 = wreath_group(3, 2, "G")
-    half = ClassFunction(g2, [Fraction(1, 2)] * len(g2.class_reps))
+    half = ClassFunction(g2, [(Fraction(1, 2),)] * len(g2.class_reps))
     got = inner_product(half, half)
     assert type(got) is Fraction and got == frozen_inner_product(half, half) == Fraction(1, 4)
