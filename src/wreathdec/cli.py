@@ -78,7 +78,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, separators=(",", ":"), default=str) + "\n"
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _report(args, payload, header, rows) -> int:

@@ -27,7 +27,7 @@ from .partitions import (
     _core_and_weight,
     _require_odd_prime,
     _runners,
-    check_partition,
+    check_label,
     generate_multipartitions,
     generate_partitions,
 )
@@ -55,10 +55,8 @@ def _key_row(key: tuple[Partition, ...]) -> Mapping:
     component a adds prod c^a_{beta, gamma^i} times the Schur product of the
     betas.  Empty slots are inert and permuting the non-r slots of alpha and
     gamma together leaves k unchanged, so the row does not depend on p: each
-    key's row is computed once per process and shared by every p.  Validated
-    on a cache miss only, so the matrix rows built by induce_H_to_G pay nothing."""
-    for a in key:
-        check_partition(a)
+    key's row is computed once per process and shared by every p.  Unchecked:
+    it is reached from checked labels and the enumerated H-labels only."""
     slot_splits = [
         [t for j in range(sum(a) + 1) for t in restriction_expansion(a, j)]
         for a in key
@@ -74,18 +72,8 @@ def _key_row(key: tuple[Partition, ...]) -> Mapping:
     return MappingProxyType(row)
 
 
-def _check_label(label, length: int) -> None:
-    """Raise ValueError unless label has `length` components, each a partition."""
-    if len(label) != length:
-        raise ValueError(f"expected {length} components, got {len(label)}")
-    for comp in label:
-        check_partition(comp)
-
-
-def _orbit(alpha: MultiPartition, p: int):
+def _orbit(alpha: MultiPartition):
     """The nonempty slots of alpha sorted by component, and its key's row."""
-    if len(alpha) != p - 1:
-        raise ValueError(f"expected {p - 1} components, got {len(alpha)}")
     slots = sorted((s for s, a in enumerate(alpha) if a), key=alpha.__getitem__)
     return slots, _key_row(tuple(alpha[s] for s in slots))
 
@@ -95,7 +83,7 @@ def _coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
     gamma_i, gamma_r = gamma[:mid] + gamma[mid + 1 :], gamma[mid]
     if any(g and not a for a, g in zip(alpha, gamma_i)):
         return 0  # shortcut: the key row has no entry for such a gamma
-    slots, row = _orbit(alpha, p)
+    slots, row = _orbit(alpha)
     return row.get((tuple(gamma_i[s] for s in slots), gamma_r), 0)
 
 
@@ -108,19 +96,22 @@ def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
     whenever some |gamma^i| exceeds |alpha^i|.
     """
     _require_odd_prime(p)
-    _check_label(alpha, p - 1)
-    _check_label(gamma, p)
+    alpha, gamma = check_label(alpha, p - 1), check_label(gamma, p)
     if sum(map(sum, alpha)) != sum(map(sum, gamma)):
         raise ValueError("labels have different weights")
     return _coefficient(alpha, gamma, p)
 
 
 def induce_H_to_G(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
-    """All G-labels appearing in the induction of alpha, with multiplicities:
-    the row of alpha's orbit key (whose build validates it), scattered back
-    through its slot permutation."""
+    """All G-labels appearing in the induction of alpha, with multiplicities."""
     _require_odd_prime(p)
-    slots, row = _orbit(alpha, p)
+    return _induce(check_label(alpha, p - 1), p)
+
+
+def _induce(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
+    """induce_H_to_G unchecked: the row of alpha's orbit key, scattered back
+    through its slot permutation."""
+    slots, row = _orbit(alpha)
     mid = r_slot(p)
     result = {}
     for (gammas, gamma_r), k in row.items():
@@ -136,7 +127,7 @@ def restrict_G_to_H(gamma: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All H-labels appearing in the restriction of gamma, with multiplicities,
     ordered by the component sizes of alpha, ascending, then as in hlabels."""
     _require_odd_prime(p)
-    _check_label(gamma, p)
+    gamma = check_label(gamma, p)
     terms = [
         (alpha, k)
         for alpha in hlabels(p, sum(map(sum, gamma)))
@@ -150,15 +141,14 @@ def degree_G(gamma: MultiPartition, p: int) -> int:
     """Degree of the G-irreducible gamma: the r-th base character has degree
     p - 1, all others are linear."""
     _require_odd_prime(p)
-    _check_label(gamma, p)
+    gamma = check_label(gamma, p)
     return _degree(gamma) * (p - 1) ** sum(gamma[r_slot(p)])
 
 
 def degree_H(alpha: MultiPartition, p: int) -> int:
     """Degree of the H-irreducible alpha (all base characters are linear)."""
     _require_odd_prime(p)
-    _check_label(alpha, p - 1)
-    return _degree(alpha)
+    return _degree(check_label(alpha, p - 1))
 
 
 def _degree(label: MultiPartition) -> int:
@@ -172,10 +162,11 @@ def _degree(label: MultiPartition) -> int:
 
 
 def _k_rows(p: int, w: int):
-    """Rows of k_matrix(p, w) as sorted (column, k) lists of the nonzero entries."""
+    """Rows of k_matrix(p, w) as sorted (column, k) lists of the nonzero entries;
+    the enumerated H-labels need no check."""
     cols = {g: j for j, g in enumerate(glabels(p, w))}
     for alpha in hlabels(p, w):
-        yield sorted((cols[gamma], k) for gamma, k in induce_H_to_G(alpha, p).items())
+        yield sorted((cols[gamma], k) for gamma, k in _induce(alpha, p).items())
 
 
 def k_entries(p: int, w: int) -> list[list[int]]:

@@ -12,7 +12,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .partitions import Partition, check_partition, check_size, generate_partitions
+from .partitions import Partition, check_partition, check_size, checked_cache, generate_partitions
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -22,20 +22,15 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
+@checked_cache(check_partition, check_partition, check_partition)
 def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     """c^alpha_{beta,gamma}: multiplicity of alpha in the product of beta and gamma.
 
     Counts fillings of the skew shape alpha/beta with content gamma that are
     semistandard and whose reverse reading word (rows top to bottom, each read
     right to left) is a lattice word.  Zero when the sizes do not match or
-    beta is not contained in alpha.  The arguments are checked before the
-    cache lookup, where (2, 1.0) would hit the entry of (2, 1).
+    beta is not contained in alpha.
     """
-    return _lr_coefficient(*map(check_partition, (alpha, beta, gamma)))
-
-
-@cache
-def _lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     if sum(alpha) != sum(beta) + sum(gamma) or not contains(alpha, beta):
         return 0
     if not gamma:
@@ -73,11 +68,6 @@ def _lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     return fill(0)
 
 
-# the cache is read and cleared through the public name, as with functools.cache
-lr_coefficient.cache_info = _lr_coefficient.cache_info
-lr_coefficient.cache_clear = _lr_coefficient.cache_clear
-
-
 def schur_product(factors: Iterable[Partition]) -> Mapping[Partition, int]:
     """Read-only expansion {shape: coeff} of the product of the Schur functions
     of factors.  The fold of lr_coefficient is done once per multiset of nonempty
@@ -101,8 +91,12 @@ def _schur_product(factors: tuple[Partition, ...]) -> Mapping[Partition, int]:
 
 def iterated_lr(target: Partition, factors: Iterable[Partition]) -> int:
     """Multiplicity of target in the induction of a product of factors; it does
-    not depend on the order of the factors."""
-    return schur_product(factors).get(target, 0)
+    not depend on the order of the factors.  The partitions are checked before
+    the Schur product's cache lookup."""
+    target = check_partition(target)
+    if not isinstance(factors, Iterable):
+        raise ValueError(f"factors must be an iterable of partitions: {factors!r}")
+    return schur_product(map(check_partition, factors)).get(target, 0)
 
 
 def restriction_expansion(

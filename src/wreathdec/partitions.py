@@ -9,7 +9,8 @@ decreasing), so every matrix built downstream has a reproducible layout.
 from __future__ import annotations
 
 import json
-from functools import cache, wraps
+from collections.abc import Iterable
+from functools import cache, partial, wraps
 from typing import NamedTuple
 
 Partition = tuple[int, ...]
@@ -17,9 +18,14 @@ MultiPartition = tuple[Partition, ...]
 
 
 def check_partition(parts) -> Partition:
-    """Validate a partition given as any iterable of ints and return it as a
-    tuple; a part that is not an int (a bool, float or str) is refused."""
-    parts = tuple(parts)
+    """Validate a partition given as any iterable of ints but a str and return
+    it as a tuple; a part that is not an int (a bool, float or str) is refused.
+    A tuple skips the iterable test, an ABC check that would add half again
+    to the cost of the three checks in front of each lr_coefficient lookup."""
+    if type(parts) is not tuple:
+        if isinstance(parts, str) or not isinstance(parts, Iterable):
+            raise ValueError(f"partition parts must be ints: {parts!r}")
+        parts = tuple(parts)
     for i, x in enumerate(parts):
         if type(x) is not int:
             raise ValueError(f"partition parts must be ints: {parts!r}")
@@ -30,6 +36,17 @@ def check_partition(parts) -> Partition:
     return parts
 
 
+def check_label(label, length: int) -> MultiPartition:
+    """Validate a label, `length` partitions given as any iterable, and return
+    it as a tuple of partition tuples, so a list label is answered as its tuple."""
+    if not isinstance(label, Iterable):
+        raise ValueError(f"a label must be an iterable of partitions: {label!r}")
+    label = tuple(map(check_partition, label))
+    if len(label) != length:
+        raise ValueError(f"expected {length} components, got {len(label)}")
+    return label
+
+
 def check_size(x, name: str) -> int:
     """Validate a size argument by the rule of check_partition: it must be an
     int, not a bool, float or str."""
@@ -38,22 +55,25 @@ def check_size(x, name: str) -> int:
     return x
 
 
-def _cache_sizes(fn):
-    """functools.cache over fn, whose arguments are all sizes, each checked
-    by check_size before the cache lookup: 2.0 and True hash like 2 and 1, so
-    a check on a cache miss only would answer them from the cache.  Keeps
-    cache_info, cache_clear and __wrapped__ (fn) as functools.cache does."""
-    cached = cache(fn)
-    names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+def checked_cache(*checks):
+    """functools.cache over a function of len(checks) arguments, keyed on the
+    checked arguments: checks[i] validates argument i and returns the form to
+    cache.  A check after the lookup would answer 2.0 and True from the
+    entries of 2 and 1, which they hash like.  Keeps cache_info, cache_clear
+    and __wrapped__ as functools.cache does."""
+    def decorate(fn):
+        cached = cache(fn)
 
-    @wraps(fn)
-    def checked(*sizes):
-        for x, name in zip(sizes, names):
-            check_size(x, name)
-        return cached(*sizes)
+        @wraps(fn)
+        def checked(*args):
+            if len(args) != len(checks):
+                raise TypeError(f"{fn.__name__}() takes {len(checks)} argument(s), got {len(args)}")
+            return cached(*[check(x) for check, x in zip(checks, args)])
 
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-    return checked
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
 
 
 def is_odd_prime(p: int) -> bool:
@@ -67,7 +87,7 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-@_cache_sizes
+@checked_cache(partial(check_size, name="n"))
 def generate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, lexicographically decreasing: (n,) first, (1,)*n last.
 
@@ -104,7 +124,7 @@ def generate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@_cache_sizes
+@checked_cache(partial(check_size, name="w"), partial(check_size, name="t"))
 def generate_multipartitions(w: int, t: int) -> tuple[MultiPartition, ...]:
     """All t-tuples of partitions of total size w.
 
@@ -234,34 +254,28 @@ def reconstruct_from_core_quotient(
     core: Partition, quotient: MultiPartition, p: int
 ) -> Partition:
     """The unique partition with the given core and quotient (inverse of
-    p_core_and_quotient under the same runner convention)."""
+    p_core_and_quotient under the same runner convention).  Runner q of the
+    core holds levels 0..c_q-1; each runner gets the same number of extra
+    levels, enough for every quotient component, and component q's beta-set
+    of that length is read back onto runner q."""
     _require_odd_prime(p)
     core = check_partition(core)
-    quotient = tuple(map(check_partition, quotient))
-    if len(quotient) != p:
-        raise ValueError(f"quotient must have {p} components")
-    if p_core_and_quotient(core, p).weight != 0:
+    quotient = check_label(quotient, p)
+    runners = _runners(core, p)
+    if _core_and_weight(runners, p, sum(core))[1]:
         raise ValueError(f"{core} has a hook divisible by {p}")
-    length = len(core) + (-len(core)) % p
-    while True:
-        runners: list[list[int]] = [[] for _ in range(p)]
-        for b in beta_numbers(core, length):
-            runners[b % p].append(b // p)
-        if all(len(runners[q]) >= len(quotient[q]) for q in range(p)):
-            break
-        length += p
-    beta = []
-    for q in range(p):
-        comp_beta = beta_numbers(quotient[q], len(runners[q]))
-        beta.extend(q + p * m for m in comp_beta)
-    return partition_from_beta(beta)
+    extra = max(0, *(len(mu) - len(run) for mu, run in zip(quotient, runners)))
+    return _strip(sorted(
+        (q + p * m for q, (mu, run) in enumerate(zip(quotient, runners))
+         for m in beta_numbers(mu, len(run) + extra)),
+        reverse=True,
+    ))
 
 
 def hat(alpha: MultiPartition, p: int) -> MultiPartition:
     """Insert an empty component at position r = (p+1)/2 of a (p-1)-tuple."""
     _require_odd_prime(p)
-    if len(alpha) != p - 1:
-        raise ValueError(f"expected {p - 1} components, got {len(alpha)}")
+    alpha = check_label(alpha, p - 1)
     mid = (p - 1) // 2
     return alpha[:mid] + ((),) + alpha[mid:]
 

@@ -77,10 +77,6 @@ def centralizer_order(rho: Partition) -> int:
     return z
 
 
-def class_size(rho: Partition) -> int:
-    return factorial(sum(rho)) // centralizer_order(rho)
-
-
 def character_table_sn(k: int) -> list[list[int]]:
     """Full character table of the symmetric group on k letters.
 

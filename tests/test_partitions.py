@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wreathdec as wd
+from wreathdec import decomp, lr
 
 from wreathdec.partitions import (
     beta_numbers,
@@ -305,6 +306,86 @@ def test_sizes_that_are_not_ints_are_refused(call, warm, message):
     warm()
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_checked_caches_refuse_a_wrong_number_of_arguments():
+    """The checks pair with the arguments one to one, so an extra argument
+    is refused, not dropped."""
+    with pytest.raises(TypeError, match=re.escape("takes 1 argument(s), got 2")):
+        wd.generate_partitions(3, 1)
+    with pytest.raises(TypeError, match=re.escape("takes 3 argument(s), got 2")):
+        wd.lr_coefficient((1,), (1,))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("call,int_call,message", [
+    (lambda: wd.induce_H_to_G(((2, 1.0), ()), 3), lambda: wd.induce_H_to_G(((2, 1), ()), 3),
+     "partition parts must be ints: (2, 1.0)"),
+    (lambda: wd.induce_H_to_G(((1,), None), 3), lambda: wd.induce_H_to_G(((1,), ()), 3),
+     "partition parts must be ints: None"),
+    (lambda: wd.induce_H_to_G(((1,), 0), 3), lambda: wd.induce_H_to_G(((1,), ()), 3),
+     "partition parts must be ints: 0"),
+    (lambda: wd.induce_H_to_G(((1,), ""), 3), lambda: wd.induce_H_to_G(((1,), ()), 3),
+     "partition parts must be ints: ''"),
+    (lambda: wd.induce_H_to_G(None, 3), lambda: wd.induce_H_to_G(((), ()), 3),
+     "a label must be an iterable of partitions: None"),
+    (lambda: wd.iterated_lr((3,), [(2.0,), (1,)]), lambda: wd.iterated_lr((3,), [(2,), (1,)]),
+     "partition parts must be ints: (2.0,)"),
+    (lambda: wd.iterated_lr((3,), [(2,), None]), lambda: wd.iterated_lr((3,), [(2,), ()]),
+     "partition parts must be ints: None"),
+    (lambda: wd.iterated_lr(3, [(2,), (1,)]), lambda: wd.iterated_lr((3,), [(2,), (1,)]),
+     "partition parts must be ints: 3"),
+    (lambda: wd.iterated_lr((3,), 5), lambda: wd.iterated_lr((3,), [(3,)]),
+     "factors must be an iterable of partitions: 5"),
+    (lambda: wd.iterated_lr((1, 2), [(2,), (1,)]), lambda: wd.iterated_lr((2, 1), [(2,), (1,)]),
+     "weakly decreasing"),
+    (lambda: wd.k_coefficient(None, ((1,), (), ()), 3),
+     lambda: wd.k_coefficient(((1,), ()), ((1,), (), ()), 3),
+     "a label must be an iterable of partitions: None"),
+    (lambda: wd.restrict_G_to_H(((), (1,), None), 3), lambda: wd.restrict_G_to_H(((), (1,), ()), 3),
+     "partition parts must be ints: None"),
+    (lambda: wd.hat(((1,), 0), 3), lambda: wd.hat(((1,), ()), 3),
+     "partition parts must be ints: 0"),
+    (lambda: wd.lr_coefficient(3, (), ()), lambda: wd.lr_coefficient((3,), (), (3,)),
+     "partition parts must be ints: 3"),
+    (lambda: wd.hook_lengths(5), lambda: wd.hook_lengths((5,)), "partition parts must be ints: 5"),
+    (lambda: wd.oracle_restriction(((), (1,), None), 3),
+     lambda: wd.oracle_restriction(((), (1,), ()), 3), "partition parts must be ints: None"),
+], ids=["induce_float", "induce_none", "induce_zero", "induce_str", "induce_label_none",
+        "iterated_float", "iterated_none", "iterated_target_int", "iterated_factors_int",
+        "iterated_target_increasing", "k_label_none", "restrict_none", "hat_zero", "lr_int",
+        "hooks_int", "oracle_restriction_none"])
+def test_labels_and_partitions_are_checked_before_the_caches(call, int_call, message, warm):
+    """Each raised TypeError, was accepted, or, for a float equal to an int,
+    answered from the cache after the int call.  Cold starts from cleared
+    label caches; with `warm` the int call runs first."""
+    decomp._key_row.cache_clear()
+    lr._schur_product.cache_clear()
+    wd.lr_coefficient.cache_clear()
+    if warm:
+        int_call()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("fn,args,as_tuples", [
+    (wd.k_coefficient, ([[1], []], [(), [1], ()], 3), (((1,), ()), ((), (1,), ()), 3)),
+    (wd.induce_H_to_G, ([[2, 1], []], 3), (((2, 1), ()), 3)),
+    (wd.restrict_G_to_H, ([(), [2], [1]], 3), (((), (2,), (1,)), 3)),
+    (wd.degree_G, ([(), [2], [1]], 3), (((), (2,), (1,)), 3)),
+    (wd.degree_H, ([[1], [1]], 3), (((1,), (1,)), 3)),
+    (wd.hat, ([[1], []], 3), (((1,), ()), 3)),
+    (wd.iterated_lr, ([2, 1], [[1], [1]]), ((2, 1), ((1,), (1,)))),
+], ids=["k_coefficient", "induce", "restrict", "degree_G", "degree_H", "hat", "iterated_lr"])
+def test_list_labels_are_answered_as_their_tuples(fn, args, as_tuples, warm):
+    """Each but degree_G and degree_H raised TypeError before: a list does
+    not hash, nor does it concatenate with a tuple in hat."""
+    decomp._key_row.cache_clear()
+    lr._schur_product.cache_clear()
+    if warm:
+        fn(*as_tuples)
+    assert fn(*args) == fn(*as_tuples)
 
 
 def test_parse_partition_rejects_booleans():

@@ -8,7 +8,6 @@ from wreathdec.sn_char import (
     _mn,
     centralizer_order,
     character_table_sn,
-    class_size,
     degree,
     mn_value,
 )
@@ -56,7 +55,8 @@ def test_centralizer_orders():
     assert centralizer_order((1, 1, 1)) == 6
     assert centralizer_order((2, 2, 1)) == 8
     for k in range(1, 9):
-        assert sum(class_size(rho) for rho in generate_partitions(k)) == factorial(k)
+        assert sum(factorial(k) // centralizer_order(rho)
+                   for rho in generate_partitions(k)) == factorial(k)
 
 
 def test_row_orthogonality():
