@@ -70,13 +70,16 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
 
 def schur_product(factors: Iterable[Partition]) -> Mapping[Partition, int]:
     """Read-only expansion {shape: coeff} of the product of the Schur functions
-    of factors.  The fold of lr_coefficient is done once per multiset of nonempty
-    factors (empty ones are the unit) and cached with every prefix of it."""
-    return _schur_product(tuple(sorted(phi for phi in factors if phi)))
+    of factors.  The factors are checked before the cache lookup of the fold."""
+    if not isinstance(factors, Iterable):
+        raise ValueError(f"factors must be an iterable of partitions: {factors!r}")
+    return _schur_product(tuple(sorted(phi for phi in map(check_partition, factors) if phi)))
 
 
 @cache
 def _schur_product(factors: tuple[Partition, ...]) -> Mapping[Partition, int]:
+    """The fold of lr_coefficient over the sorted nonempty factors (empty ones
+    are the unit), cached with every prefix of it.  Unchecked."""
     if not factors:
         return MappingProxyType({(): 1})
     state = _schur_product(factors[:-1])
@@ -91,12 +94,9 @@ def _schur_product(factors: tuple[Partition, ...]) -> Mapping[Partition, int]:
 
 def iterated_lr(target: Partition, factors: Iterable[Partition]) -> int:
     """Multiplicity of target in the induction of a product of factors; it does
-    not depend on the order of the factors.  The partitions are checked before
-    the Schur product's cache lookup."""
-    target = check_partition(target)
-    if not isinstance(factors, Iterable):
-        raise ValueError(f"factors must be an iterable of partitions: {factors!r}")
-    return schur_product(map(check_partition, factors)).get(target, 0)
+    not depend on the order of the factors.  The target is checked here, the
+    factors by schur_product."""
+    return schur_product(factors).get(check_partition(target), 0)
 
 
 def restriction_expansion(

@@ -16,11 +16,10 @@ Agreement between the two routes is the whole point of this module.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations, product, repeat
-from math import factorial, prod
+from math import prod
 from typing import NamedTuple, Optional
 
 from . import decomp
@@ -30,6 +29,7 @@ from .partitions import (
     MultiPartition,
     Partition,
     check_partition,
+    check_size,
     generate_multipartitions,
     generate_partitions,
     is_odd_prime,
@@ -86,9 +86,9 @@ class BaseGroup:
         self.value_order = value_order
         self.generators = tuple(generators)
         conj = [[mul[mul[s][j]][inv_table[s]] for j in range(len(mul))] for s in self.generators]
-        reps, members, assigned = _orbits(len(mul), lambda j: [c[j] for c in conj])
+        reps, sizes, assigned = _orbits(len(mul), lambda j: [c[j] for c in conj])
         self.class_reps = tuple(self.elements[i] for i in reps)
-        self.class_sizes = tuple(map(len, members))
+        self.class_sizes = tuple(sizes)
         self.class_of_index = tuple(assigned)
 
 
@@ -96,13 +96,13 @@ def _orbits(size, conjugates):
     """Conjugacy classes of the elements 0..size-1 as orbits closed
     breadth-first under `conjugates`, which lists the conjugates of an element
     by each generator.  Elements are scanned in order and each unassigned one
-    represents a new class.  Returns the representatives, the member lists
-    and the class of every element, all as element numbers.  The generators
-    must generate the group: at w = 1 the wreath check compares this routine
-    with itself (on the base group's generators), so only the tests catch a
-    wrong generating set."""
+    represents a new class, so classes are numbered by their smallest
+    element.  Returns the representatives (element numbers), the class sizes
+    and the class of every element.  The generators must generate the group:
+    at w = 1 the wreath check compares this routine with itself (on the base
+    group's generators), so only the tests catch a wrong generating set."""
     assigned = [-1] * size
-    reps, members = [], []
+    reps, sizes = [], []
     for i in range(size):
         if assigned[i] >= 0:
             continue
@@ -114,8 +114,8 @@ def _orbits(size, conjugates):
                     assigned[k] = c
                     orbit.append(k)
         reps.append(i)
-        members.append(orbit)
-    return reps, members, assigned
+        sizes.append(len(orbit))
+    return reps, sizes, assigned
 
 
 class BasePair(NamedTuple):
@@ -272,6 +272,7 @@ class WreathGroup:
         self.order = len(base.elements) ** w * len(self._perms)
         self.elements = _Elements(self)
         self._char_cache: dict[MultiPartition, "ClassFunction"] = {}
+        self._induced_cache: dict[tuple[int, Partition], "ClassFunction"] = {}
         self._build_classes(self._generators())
 
     def _split(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -341,7 +342,7 @@ class WreathGroup:
         return conjugates
 
     def _build_classes(self, generators):
-        reps, members, assigned = _orbits(self.order, self._conjugates(generators))
+        reps, sizes, assigned = _orbits(self.order, self._conjugates(generators))
         # the orbits must be the classes of cycle labels: each label (keyed by
         # its sorted (cycle length, base class) pairs) lies in one orbit, and
         # there are as many labels as orbits
@@ -368,10 +369,9 @@ class WreathGroup:
                 parts[b].append(length)
             labels[c] = tuple(tuple(sorted(ps, reverse=True)) for ps in parts)
         self.class_reps = tuple(self._decode(i) for i in reps)
-        self.class_sizes = tuple(map(len, members))
+        self.class_sizes = tuple(sizes)
         self.class_labels = tuple(labels)
         self.class_of_index = tuple(assigned)
-        self._class_members = members
         self._rep_ids = tuple(reps)
 
 
@@ -458,7 +458,8 @@ def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partit
     Both the f-rank and the perm rank of an element of K are sums over its
     blocks (a block's Lehmer digits count only its own letters), so the id of
     an element of K is the sum of its blocks' id parts, and its value the
-    product of their monomials."""
+    product of their monomials.  A block's perm part is the rank of its
+    permutation, which fixes every letter outside the block."""
     base, w, nperms = group.base, group.w, len(group._perms)
     n, m, mul = len(base.elements), base.value_order, base.mul_table
     domain = [x for x, v in enumerate(table) if v is not None]
@@ -466,12 +467,10 @@ def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partit
     for t in range(start, start + size):
         weight = n ** (w - 1 - t) * nperms
         f_parts = [(v + x * weight, f + (x,)) for v, f in f_parts for x in domain]
+    head, tail = tuple(range(start)), tuple(range(start + size, w))
     entries = []
     for sigma in permutations(range(size)):
-        perm_part = sum(
-            sum(sigma[u] < sigma[t] for u in range(t + 1, size)) * factorial(w - 1 - start - t)
-            for t in range(size)
-        )
+        perm_part = group._perm_rank[head + tuple(start + s for s in sigma) + tail]
         if not mn_value(lam, perm_cycles(sigma)[1]):
             entries += [(v + perm_part, 0, 0) for v, _ in f_parts]
             continue
@@ -599,10 +598,13 @@ def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
     product, embedded coordinate-wise, up to the big one on the same letters.
     The i-th linear complement character, listed on H's numbers, which are
     G's first m, is padded with None over the rest of G, so its domain makes
-    the block subgroup the small wreath product."""
-    table = pair.H.monomials[pair.islots.index(i)]
-    theta = list(table) + [None] * (len(pair.G.elements) - len(table))
-    return induce(gw, [(0, gw.w, theta, alpha)])
+    the block subgroup the small wreath product.  Kept on the group, so each
+    is built once while the group lives."""
+    if (i, alpha) not in gw._induced_cache:
+        table = pair.H.monomials[pair.islots.index(i)]
+        theta = list(table) + [None] * (len(pair.G.elements) - len(table))
+        gw._induced_cache[i, alpha] = induce(gw, [(0, gw.w, theta, alpha)])
+    return gw._induced_cache[i, alpha]
 
 
 def _split_label(pair: BasePair, i: int, beta: Partition, gamma: Partition):
@@ -631,6 +633,7 @@ def verify_mackey_multiplicities(
     product against the irreducible of the split label: beta in the heavy
     slot r, gamma in slot i.  Equals the Littlewood-Richardson number
     c^alpha_{beta,gamma}."""
+    i, j, k = check_size(i, "i"), check_size(j, "j"), check_size(k, "k")
     pair = base_group(p)
     if i not in pair.islots:
         raise ValueError(f"i must avoid the distinguished slot, got {i}")
@@ -647,8 +650,7 @@ def verify_mackey_multiplicities(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     """One verified claim: what was checked, for which parameters, and the
     expected and computed sides."""
 
@@ -657,10 +659,6 @@ class ClaimResult:
     expected: str
     computed: str
     status: str  # "pass", "fail" or "skip"
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
 
 
 def _claim(name, params, expected, computed) -> ClaimResult:
@@ -708,7 +706,10 @@ def class_structure_claims(p: int, w: int, guard: Optional[int] = None) -> list[
         params = {"p": p, "w": w, "group": kind}
         # _build_classes has already checked these orbits against the cycle
         # structures and raises on a mismatch, so the claim reports its result
-        members = sorted(map(sorted, group._class_members))
+        # (classes are numbered by their smallest id, so the lists come sorted)
+        members = [[] for _ in group.class_reps]
+        for j, c in enumerate(group.class_of_index):
+            members[c].append(j)
         out.append(_claim("orbit_classes_match_cycle_structure", params, members, members))
         s = len(group.base.class_reps)
         out.append(
@@ -827,32 +828,31 @@ def restriction_claims(p: int, w: int, guard: Optional[int] = None) -> list[Clai
 
 def mackey_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResult]:
     """Multiplicity identities for the inductions between the two wreath
-    products on k letters, against Littlewood-Richardson numbers."""
+    products on k letters, against Littlewood-Richardson numbers: the
+    restriction of psi_r~ x beta from `oracle_restriction`, read at the
+    small-group labels theta_i~ x alpha, and the double inductions from
+    `verify_mackey_multiplicities`."""
     pair = base_group(p)
-    gw = wreath_group(p, k, "G", guard)
-    hw = wreath_group(p, k, "H", guard)
     out = []
+    heavy = {  # psi_r~ x beta restricted: the split label with gamma empty
+        beta: oracle_restriction(_split_label(pair, 1, beta, ()), p, guard)
+        for beta in generate_partitions(k)
+    }
 
-    def heavy(beta):  # psi_r~ x beta, restricted to the small wreath product
-        label = tuple(beta if s == pair.r else () for s in range(1, p + 1))
-        return restrict_to_h(gw, hw, parametrized_character(gw, label))
-
-    def theta(i, alpha):  # theta_i~ x alpha on the small wreath product
-        return parametrized_character(hw, tuple(alpha if s == i else () for s in pair.islots))
+    def theta(i, alpha):  # the label of theta_i~ x alpha on the small wreath product
+        return tuple(alpha if s == i else () for s in pair.islots)
 
     trivial = (k,) if k else ()
-    res_r = heavy(trivial)
     for i in pair.islots:
         out.append(
             _claim(
                 "heavy_restriction_contains_each_linear_once",
                 {"p": p, "k": k, "i": i},
                 1,
-                _as_multiplicity(inner_product(res_r, theta(i, trivial))),
+                heavy[trivial].get(theta(i, trivial), 0),
             )
         )
     for beta in generate_partitions(k):
-        lhs = heavy(beta)
         for i in pair.islots:
             for alpha in generate_partitions(k):
                 out.append(
@@ -860,16 +860,14 @@ def mackey_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResu
                         "heavy_tensor_restriction_multiplicity",
                         {"p": p, "k": k, "i": i, "alpha": alpha, "beta": beta},
                         1 if alpha == beta else 0,
-                        _as_multiplicity(inner_product(lhs, theta(i, alpha))),
+                        heavy[beta].get(theta(i, alpha), 0),
                     )
                 )
     for i in pair.islots:
-        induced = {a: _linear_induced(gw, pair, i, a) for a in generate_partitions(k)}
         for j in range(k + 1):
             for alpha in generate_partitions(k):
                 for beta in generate_partitions(j):
                     for gamma in generate_partitions(k - j):
-                        rhs = parametrized_character(gw, _split_label(pair, i, beta, gamma))
                         out.append(
                             _claim(
                                 "double_induction_multiplicity_is_lr",
@@ -883,7 +881,7 @@ def mackey_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResu
                                     "gamma": gamma,
                                 },
                                 lr_coefficient(alpha, beta, gamma),
-                                _as_multiplicity(inner_product(induced[alpha], rhs)),
+                                verify_mackey_multiplicities(i, j, alpha, beta, gamma, p, k, guard),
                             )
                         )
     return out

@@ -196,6 +196,7 @@ VERIFY_DIGESTS = {
     ("3", "3", "json"): "d6eb5696477ab1a9f026e3006331dbc76172a9eb426e5a3a0a54593ad77b26b1",
     ("3", "3", "csv"): "1471c63361e2432dcb1ce6a65899b3a8191dbca8c4591f22cac0849db1cf1191",
     ("3", "4", "json"): "22dc16a7b7d9771d77ad4fc236aa22eac708341cb797e056a611089b6ee65261",
+    ("3", "5", "json"): "7b6c23190d88567fe2d358e10d3c4284001a3f442b0c9de50f6332dd6be4d492",
     ("5", "2", "json"): "ab59181415ab8edaef1a9b340c41a8a73025b79f2a60336c7bfc4a93ee134170",
     ("5", "2", "csv"): "945a6c50294eb225e4fc682b90874114f29718efbb947ffbdc57c14c53d3d9c6",
     ("5", "3", "json"): "d30eb799e42a5516e8894140d169851c5538e4fe60d04cab2b54b21378ae1a1f",

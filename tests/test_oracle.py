@@ -247,6 +247,12 @@ def test_mackey_validates_arguments():
         verify_mackey_multiplicities(2, 1, (2,), (1,), (1,), 3, 2)  # slot r
     with pytest.raises(ValueError):
         verify_mackey_multiplicities(1, 3, (2,), (1,), (1,), 3, 2)
+    # sizes follow check_size: the first two returned 1, the third raised TypeError
+    for i, j in [(1, 0.0), (True, 0), (1.0, 0)]:
+        with pytest.raises(ValueError, match="must be an int"):
+            verify_mackey_multiplicities(i, j, (1,), (), (1,), 3, 1)
+    with pytest.raises(ValueError, match="k must be an int"):
+        verify_mackey_multiplicities(1, 0, (1,), (), (1,), 3, 1.0)
 
 
 def test_mackey_takes_its_partitions_as_checked_tuples():

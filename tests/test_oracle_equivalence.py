@@ -446,6 +446,22 @@ def test_verify_suite_releases_its_groups():
     assert ref() is None
 
 
+def test_verify_suite_induces_each_character_once(monkeypatch):
+    """The reconstruction suite reuses the linear inductions the Mackey
+    suite kept on the group, so no induction is built twice."""
+    oracle._wreath_cached.cache_clear()  # fresh groups, with empty caches
+    calls = []
+    induce = oracle.induce
+
+    def recording(group, blocks):
+        calls.append((group, repr(blocks)))
+        return induce(group, blocks)
+
+    monkeypatch.setattr(oracle, "induce", recording)
+    verify_suite(5, 2)
+    assert calls and len(set(calls)) == len(calls)
+
+
 @pytest.mark.parametrize("p,w,kind", [(3, 4, "G"), (3, 4, "H"), (5, 3, "G")])
 def test_id_class_build_matches_the_frozen_tuple_build(p, w, kind):
     group = wreath_group(p, w, kind)

@@ -351,10 +351,19 @@ def test_checked_caches_refuse_a_wrong_number_of_arguments():
     (lambda: wd.hook_lengths(5), lambda: wd.hook_lengths((5,)), "partition parts must be ints: 5"),
     (lambda: wd.oracle_restriction(((), (1,), None), 3),
      lambda: wd.oracle_restriction(((), (1,), ()), 3), "partition parts must be ints: None"),
+    (lambda: lr.schur_product([(1,), None]), lambda: lr.schur_product([(1,), ()]),
+     "partition parts must be ints: None"),
+    (lambda: lr.schur_product([(1,), 0]), lambda: lr.schur_product([(1,), ()]),
+     "partition parts must be ints: 0"),
+    (lambda: lr.schur_product([(2.0,)]), lambda: lr.schur_product([(2,)]),
+     "partition parts must be ints: (2.0,)"),
+    (lambda: lr.schur_product(5), lambda: lr.schur_product([(3,)]),
+     "factors must be an iterable of partitions: 5"),
 ], ids=["induce_float", "induce_none", "induce_zero", "induce_str", "induce_label_none",
         "iterated_float", "iterated_none", "iterated_target_int", "iterated_factors_int",
         "iterated_target_increasing", "k_label_none", "restrict_none", "hat_zero", "lr_int",
-        "hooks_int", "oracle_restriction_none"])
+        "hooks_int", "oracle_restriction_none", "schur_none", "schur_zero", "schur_float",
+        "schur_int"])
 def test_labels_and_partitions_are_checked_before_the_caches(call, int_call, message, warm):
     """Each raised TypeError, was accepted, or, for a float equal to an int,
     answered from the cache after the int call.  Cold starts from cleared
