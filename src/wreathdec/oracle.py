@@ -212,14 +212,13 @@ def _cycle_product_ids(mul, f, cycles) -> list[int]:
     return out
 
 
-def _monomial(mul, table, lam: Partition, f, sigma) -> tuple[int, int]:
-    """The value c * z^k, as (c, k), at (f, sigma) of a base character
-    tensored with the symmetric-group character lam: a product of base values
-    at the cycle products times the character value at the cycle type.  f
+def _monomial(mul, table, coef: int, cycles, f) -> tuple[int, int]:
+    """The value c * z^k, as (c, k), at (f, sigma) of a base character tensored
+    with a symmetric-group character: `coef`, that character's value at sigma,
+    times the base values at the products along `cycles`, sigma's cycles.  f
     holds base-element numbers, all in the table's domain, and `table` lists
     the base character's monomials by element number (None off its domain)."""
-    cycles, ctype = perm_cycles(sigma)
-    coef, exp = mn_value(lam, ctype), 0
+    exp = 0
     for x in _cycle_product_ids(mul, f, cycles):
         c, e = table[x]
         coef *= c
@@ -273,6 +272,7 @@ class WreathGroup:
         self.elements = _Elements(self)
         self._char_cache: dict[MultiPartition, "ClassFunction"] = {}
         self._induced_cache: dict[tuple[int, Partition], "ClassFunction"] = {}
+        self._restriction_cache: dict[MultiPartition, dict[MultiPartition, int]] = {}
         self._build_classes(self._generators())
 
     def _split(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -471,11 +471,10 @@ def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partit
     entries = []
     for sigma in permutations(range(size)):
         perm_part = group._perm_rank[head + tuple(start + s for s in sigma) + tail]
-        if not mn_value(lam, perm_cycles(sigma)[1]):
-            entries += [(v + perm_part, 0, 0) for v, _ in f_parts]
-            continue
+        cycles, ctype = perm_cycles(sigma)
+        value = mn_value(lam, ctype)
         for v, f in f_parts:
-            c, e = _monomial(mul, table, lam, f, sigma)
+            c, e = _monomial(mul, table, value, cycles, f) if value else (0, 0)
             entries.append((v + perm_part, c, e % m))
     return entries
 
@@ -510,22 +509,24 @@ def induce(group: WreathGroup, blocks) -> ClassFunction:
     return ClassFunction(group, [tuple(q for q, _ in row) for row in rows])
 
 
+def _check_label(label, slots: int) -> None:
+    """A tuple of `slots` partition tuples, checked before any cache lookup or
+    group build: True would hit the entry of 1, and a list would not hash.
+    `check_partition` returns a tuple as it stands and copies anything else."""
+    if type(label) is not tuple or any(check_partition(lam) is not lam for lam in label):
+        raise ValueError(f"label must be a tuple of partition tuples, got {label!r}")
+    if len(label) != slots:
+        raise ValueError(f"label must have {slots} components")
+
+
 def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFunction:
     """Irreducible character attached to a tuple of partitions, one per base
     character slot: the block-wise extension tensored with symmetric-group
     characters, induced up from the block-product subgroup.  With at most one
     block that subgroup is the whole group, so the block character is
     evaluated directly on class representatives (at w = 0, the trivial table
-    with the empty partition).  The result has norm 1.  The label is checked
-    before the cache lookup, where True would hit the entry of 1 and a list
-    would not hash."""
-    slots = len(group.base.monomials)
-    if type(label) is not tuple or any(type(lam) is not tuple for lam in label):
-        raise ValueError(f"label must be a tuple of partition tuples, got {label!r}")
-    if len(label) != slots:
-        raise ValueError(f"label must have {slots} components")
-    for lam in label:
-        check_partition(lam)
+    with the empty partition).  The norm is checked here, once: it must be 1."""
+    _check_label(label, len(group.base.monomials))
     if sum(map(sum, label)) != group.w:
         raise ValueError(f"label size must be {group.w}")
     if label in group._char_cache:
@@ -542,9 +543,10 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     else:
         m, mul = group.base.value_order, group.base.mul_table
         _, _, table, lam = blocks[0] if blocks else (0, 0, group.base.monomials[0], ())
+        reps = [(f, *perm_cycles(sigma)) for f, sigma in map(group._split, group._rep_ids)]
         chi = ClassFunction(group, [
-            _cyclotomic(m, *_monomial(mul, table, lam, *group._split(j))).coeffs
-            for j in group._rep_ids
+            _cyclotomic(m, *_monomial(mul, table, mn_value(lam, ctype), cycles, f)).coeffs
+            for f, cycles, ctype in reps
         ])
     if inner_product(chi, chi) != 1:
         raise RuntimeError(f"character {label} does not have norm 1")
@@ -579,18 +581,19 @@ def _as_multiplicity(q: Fraction) -> int:
 def oracle_restriction(
     gamma: MultiPartition, p: int, guard: Optional[int] = None
 ) -> dict[MultiPartition, int]:
-    """Restriction multiplicities of the big-wreath irreducible gamma,
-    recomputed by exact inner products over the concretely built groups."""
-    w = sum(sum(check_partition(lam)) for lam in gamma)
+    """Restriction multiplicities of the big-wreath irreducible gamma by exact
+    inner products, kept on the G group (each call returns a copy)."""
+    _check_label(gamma, len(base_group(p).G.monomials))
+    w = sum(map(sum, gamma))
     gw = wreath_group(p, w, "G", guard)
-    hw = wreath_group(p, w, "H", guard)
-    res = restrict_to_h(gw, hw, parametrized_character(gw, gamma))
-    out = {}
-    for alpha in generate_multipartitions(w, p - 1):
-        mult = _as_multiplicity(inner_product(res, parametrized_character(hw, alpha)))
-        if mult:
-            out[alpha] = mult
-    return out
+    if gamma not in gw._restriction_cache:
+        hw = wreath_group(p, w, "H", guard)
+        res = restrict_to_h(gw, hw, parametrized_character(gw, gamma))
+        gw._restriction_cache[gamma] = {
+            alpha: mult for alpha in generate_multipartitions(w, p - 1)
+            if (mult := _as_multiplicity(inner_product(res, parametrized_character(hw, alpha))))
+        }
+    return dict(gw._restriction_cache[gamma])
 
 
 def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
@@ -745,8 +748,8 @@ def character_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimR
         chars = [
             parametrized_character(group, lab) for lab in generate_multipartitions(w, t)
         ]
-        norms_ok = all(inner_product(c, c) == 1 for c in chars)
-        out.append(_claim("characters_have_norm_one", params, True, norms_ok))
+        # parametrized_character has raised on any norm other than 1
+        out.append(_claim("characters_have_norm_one", params, True, True))
         orth_ok = all(
             inner_product(a, b) == 0 for a, b in combinations(chars, 2)
         )
@@ -778,17 +781,18 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
     m = p - 1
     out = []
     lams = generate_partitions(w)
+    values = {rho: [mn_value(lam, rho) for lam in lams] for rho in lams}  # by cycle type
     mul_g, mul_h = gw.base.mul_table, hw.base.mul_table
-    h_elems = [hw._split(j) for j in range(hw.order)]
+    h_elems = [(f, *perm_cycles(sigma)) for f, sigma in map(hw._split, range(hw.order))]
     for i in pair.islots:
         big_table = pair.G.monomials[i - 1]
         small_table = pair.H.monomials[pair.islots.index(i)]
         ok = True
-        for f, sigma in h_elems:
-            for lam in lams:
+        for f, cycles, ctype in h_elems:
+            for value in values[ctype]:
                 # c z^k = -c z^(k + m/2), so monomials compare as cyclotomics
-                big = _monomial(mul_g, big_table, lam, f, sigma)
-                small = _monomial(mul_h, small_table, lam, f, sigma)
+                big = _monomial(mul_g, big_table, value, cycles, f)
+                small = _monomial(mul_h, small_table, value, cycles, f)
                 ok = ok and (big == small or _cyclotomic(m, *big) == _cyclotomic(m, *small))
         out.append(
             _claim(
@@ -799,11 +803,10 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
             )
         )
     psi_r = pair.G.monomials[pair.r - 1]
-    trivial = (w,) if w else ()
     ok = True
-    for f, sigma in h_elems:
-        got = _cyclotomic(m, *_monomial(mul_g, psi_r, trivial, f, sigma))
-        prods = _cycle_product_ids(mul_g, f, perm_cycles(sigma)[0])
+    for f, cycles, _ in h_elems:  # the trivial character of S_w is 1
+        got = _cyclotomic(m, *_monomial(mul_g, psi_r, 1, cycles, f))
+        prods = _cycle_product_ids(mul_g, f, cycles)
         expected = (p - 1) ** len(prods) if not any(prods) else 0
         ok = ok and got == expected
     out.append(_claim("heavy_extension_closed_form", {"p": p, "w": w}, True, ok))

@@ -22,7 +22,7 @@ from frozen_wreath import (
     frozen_mult,
 )
 
-from wreathdec import decomp
+from wreathdec import decomp, oracle
 from wreathdec.oracle import (
     GuardError,
     WreathGroup,
@@ -484,6 +484,33 @@ def test_labels_are_checked_before_the_character_cache(label, message, warm):
 def test_list_labels_are_refused_by_oracle_restriction(label):
     with pytest.raises(ValueError, match="label must be a tuple of partition tuples"):
         oracle_restriction(label, 3)
+
+
+@pytest.mark.parametrize("label,message", [
+    (((3,), (), (), ()), "label must have 3 components"),
+    ([(1,), (1,), (1,)], "label must be a tuple of partition tuples"),
+    (([1, 1, 1], (), ()), "label must be a tuple of partition tuples"),
+    (((1, 1, 1), (), None), "partition parts must be ints: None"),
+])
+def test_oracle_restriction_checks_the_label_before_building_a_group(label, message):
+    """Each label has weight 3, so a late check would first build and keep the
+    w = 3 groups."""
+    oracle._wreath_cached.cache_clear()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_restriction(label, 3)
+    assert oracle._wreath_cached.cache_info().currsize == 0
+
+
+def test_oracle_restriction_returns_a_copy_of_the_kept_multiplicities():
+    oracle._wreath_cached.cache_clear()
+    gamma = ((1,), (1,), ())
+    cold = oracle_restriction(gamma, 3)
+    expected = dict(cold)
+    cold[((2,), ())] = 7
+    del cold[((1,), (1,))]
+    warm = oracle_restriction(gamma, 3)
+    assert warm == expected == decomp.restrict_G_to_H(gamma, 3)
+    assert warm is not oracle_restriction(gamma, 3)
 
 
 @pytest.mark.parametrize("guard", ["10", 10.5, 2.0, True, -1])

@@ -462,6 +462,52 @@ def test_verify_suite_induces_each_character_once(monkeypatch):
     assert calls and len(set(calls)) == len(calls)
 
 
+def test_verify_suite_takes_each_norm_and_restriction_once(monkeypatch):
+    """Each norm is taken once, when `parametrized_character` builds the
+    character, and each G-label is restricted once: the Mackey claims read
+    the restrictions that the restriction claims have kept."""
+    oracle._wreath_cached.cache_clear()  # fresh groups, with empty caches
+    norms, restricted = [], []
+    inner, restrict = oracle.inner_product, oracle.restrict_to_h
+
+    def recording_inner(a, b):
+        if a is b:
+            norms.append(a)
+        return inner(a, b)
+
+    def recording_restrict(gw, hw, chi):
+        restricted.append(chi)
+        return restrict(gw, hw, chi)
+
+    monkeypatch.setattr(oracle, "inner_product", recording_inner)
+    monkeypatch.setattr(oracle, "restrict_to_h", recording_restrict)
+    verify_suite(5, 2)
+    built = [chi for kind in "GH" for chi in wreath_group(5, 2, kind)._char_cache.values()]
+    assert sorted(map(id, norms)) == sorted(map(id, built))
+    assert len(restricted) == len(set(map(id, restricted))) == len(generate_multipartitions(2, 5))
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
+def test_induction_takes_one_symmetric_group_value_per_permutation(p, k, monkeypatch):
+    """The symmetric-group value of a block's permutation serves every
+    element with that permutation."""
+    gw = wreath_group(p, k, "G")
+    calls = []
+
+    def recording(lam, rho):
+        calls.append((lam, rho))
+        return mn_value(lam, rho)
+
+    monkeypatch.setattr(oracle, "mn_value", recording)
+    count = 0
+    for blocks, _ in multi_block_characters(gw):
+        calls.clear()
+        induce(gw, oracle_blocks(blocks))
+        assert calls and len(calls) <= sum(factorial(size) for _, size, *_ in blocks)
+        count += 1
+    assert count
+
+
 @pytest.mark.parametrize("p,w,kind", [(3, 4, "G"), (3, 4, "H"), (5, 3, "G")])
 def test_id_class_build_matches_the_frozen_tuple_build(p, w, kind):
     group = wreath_group(p, w, kind)
