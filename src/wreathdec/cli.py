@@ -20,7 +20,6 @@ from math import comb
 
 from . import decomp, oracle
 from .partitions import (
-    format_multipartition,
     format_partition,
     generate_partitions,
     is_odd_prime,
@@ -58,15 +57,23 @@ def _guard_from_env() -> int | None:
     return int(digits)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        try:
+def _emit(args, chunks) -> None:
+    """Write the text chunks to --out or stdout, then flush; a failed open,
+    write or flush is a usage error: one `error:` line, exit code 2."""
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _fail(f"cannot write {args.out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:  # so that the exit does not flush what stdout still holds
+            try:
+                sys.stdout.close()
+            except OSError:
+                pass
+        _fail(f"cannot write {args.out or 'stdout'}: {exc.strerror}")
 
 
 def _csv_text(header, rows) -> str:
@@ -85,9 +92,9 @@ def _report(args, payload, header, rows) -> int:
     """Write the JSON object payload() or the CSV header and rows(), as
     --format asks; only the requested format is built."""
     if args.format == "json":
-        _emit(args, _json_text(payload()))
+        _emit(args, [_json_text(payload())])
     else:
-        _emit(args, _csv_text(header, rows()))
+        _emit(args, [_csv_text(header, rows())])
     return 0
 
 
@@ -117,32 +124,49 @@ def _require_label_args(args, label_guard: int) -> None:
     _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
 
 
-def _emit_matrix(args, rows, cols, entries, **extra) -> int:
-    """Sparse [row, col, value] entries as JSON, extra fields last, or as
-    flattened CSV label triples."""
-    return _report(
-        args,
-        lambda: {"p": args.p, "w": args.w, "rows": rows, "cols": cols, "entries": entries,
-                 **extra},
-        ["row_label", "col_label", "value"],
-        lambda: ([rows[i], cols[j], v] for i, j, v in entries),
-    )
+def _label_text(w: int):
+    """format_multipartition for labels of weight w, each partition formatted once."""
+    parts = {lam: format_partition(lam) for n in range(w + 1) for lam in generate_partitions(n)}
+    return lambda label: "[" + ",".join([parts[c] for c in label]) + "]"
+
+
+def _matrix_chunks(args, rows, cols, matrix, **extra):
+    """One chunk of text per row of (col, value) pairs, every row nonempty (as is
+    each K-row, and each Gram row at its diagonal): JSON [row, col, value] entries
+    with the extra fields last, as json.dumps writes them, or CSV label triples."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["row_label", "col_label", "value"])
+        for i, row in enumerate(matrix):
+            writer.writerows([rows[i], cols[j], v] for j, v in row)
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+        return
+    head = {"p": args.p, "w": args.w, "rows": rows, "cols": cols}
+    yield json.dumps(head, separators=(",", ":"))[:-1] + ',"entries":['
+    for i, row in enumerate(matrix):
+        flat = tuple([x for jv in row for x in jv])
+        yield ("," if i else "") + ",".join([f"[{i},%d,%d]"] * len(row)) % flat
+    yield "]" + "".join(f',"{key}":{value}' for key, value in extra.items()) + "}\n"
 
 
 def cmd_kmatrix(args) -> int:
     _require_label_args(args, KMATRIX_LABEL_GUARD)
-    rows = [format_multipartition(a) for a in decomp.hlabels(args.p, args.w)]
-    cols = [format_multipartition(g) for g in decomp.glabels(args.p, args.w)]
-    return _emit_matrix(args, rows, cols, decomp.k_entries(args.p, args.w))
+    text = _label_text(args.w)
+    rows = list(map(text, decomp.hlabels(args.p, args.w)))
+    cols = list(map(text, decomp.glabels(args.p, args.w)))
+    _emit(args, _matrix_chunks(args, rows, cols, decomp.k_rows(args.p, args.w)))
+    return 0
 
 
 def cmd_gram(args) -> int:
     _require_label_args(args, GRAM_LABEL_GUARD)
-    labels = [format_multipartition(g) for g in decomp.glabels(args.p, args.w)]
-    return _emit_matrix(
-        args, labels, labels, decomp.gram_entries(args.p, args.w),
-        determinant=decomp.gram_determinant(args.p, args.w),
-    )
+    labels = list(map(_label_text(args.w), decomp.glabels(args.p, args.w)))
+    matrix, det = decomp.gram_rows(args.p, args.w), decomp.gram_determinant(args.p, args.w)
+    _emit(args, _matrix_chunks(args, labels, labels, matrix, determinant=det))
+    return 0
 
 
 def _require_block_args(args) -> None:

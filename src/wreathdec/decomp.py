@@ -161,7 +161,7 @@ def _degree(label: MultiPartition) -> int:
     return deg
 
 
-def _k_rows(p: int, w: int):
+def k_rows(p: int, w: int):
     """Rows of k_matrix(p, w) as sorted (column, k) lists of the nonzero entries;
     the enumerated H-labels need no check."""
     cols = {g: j for j, g in enumerate(glabels(p, w))}
@@ -169,41 +169,40 @@ def _k_rows(p: int, w: int):
         yield sorted((cols[gamma], k) for gamma, k in _induce(alpha, p).items())
 
 
-def k_entries(p: int, w: int) -> list[list[int]]:
-    """Nonzero entries [i, j, k] of k_matrix(p, w), row by row, columns ascending."""
-    return [[i, j, k] for i, row in enumerate(_k_rows(p, w)) for j, k in row]
-
-
-def gram_entries(p: int, w: int) -> list[list[int]]:
-    """Nonzero entries [i, j, v] of gram_matrix(p, w), row by row, columns
-    ascending, accumulated from the sparse rows of the coefficient matrix."""
-    gram: list[dict[int, int]] = [{} for _ in glabels(p, w)]
-    for row in _k_rows(p, w):
-        for i, vi in row:
-            acc = gram[i]
-            for j, vj in row:
+def gram_rows(p: int, w: int):
+    """Rows of gram_matrix(p, w) as sorted (column, value) lists of the nonzero
+    entries.  Each K-row adds its products with j >= i to the upper half; row i
+    is its mirrored lower part, which arrives in order, then its upper part."""
+    n = len(glabels(p, w))
+    upper: list = [{} for _ in range(n)]
+    for row in k_rows(p, w):
+        for a, (i, vi) in enumerate(row):
+            acc = upper[i]
+            for j, vj in row[a:]:
                 acc[j] = acc.get(j, 0) + vi * vj
-    return [[i, j, acc[j]] for i, acc in enumerate(gram) for j in sorted(acc)]
+    lower: list = [[] for _ in range(n)]
+    for i in range(n):
+        part = sorted(upper[i].items())  # a nonempty upper part starts at (i, i)
+        for j, v in part[1:]:
+            lower[j].append((i, v))
+        yield lower[i] + part
+        upper[i] = lower[i] = None
 
 
-def _dense(entries, nrows: int, ncols: int) -> list[list[int]]:
-    matrix = [[0] * ncols for _ in range(nrows)]
-    for i, j, v in entries:
-        matrix[i][j] = v
-    return matrix
+def _dense(rows, ncols: int) -> list[list[int]]:
+    return [[row.get(j, 0) for j in range(ncols)] for row in map(dict, rows)]
 
 
 def k_matrix(p: int, w: int) -> list[list[int]]:
     """Dense coefficient matrix: rows over hlabels(p, w), columns over
     glabels(p, w), both in enumeration order."""
-    return _dense(k_entries(p, w), len(hlabels(p, w)), len(glabels(p, w)))
+    return _dense(k_rows(p, w), len(glabels(p, w)))
 
 
 def gram_matrix(p: int, w: int) -> list[list[int]]:
     """Inner products of the restrictions of pairs of G-irreducibles:
     entry (i, j) = sum_alpha k(alpha, gamma_i) * k(alpha, gamma_j)."""
-    n = len(glabels(p, w))
-    return _dense(gram_entries(p, w), n, n)
+    return _dense(gram_rows(p, w), len(glabels(p, w)))
 
 
 def gram_determinant(p: int, w: int) -> int:

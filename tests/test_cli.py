@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from bareiss import determinant
 
-from wreathdec import decomp, oracle
+from wreathdec import cli, decomp, oracle
 from wreathdec.cli import (
     GRAM_LABEL_GUARD,
     KMATRIX_LABEL_GUARD,
@@ -240,6 +241,128 @@ def test_abacus_output_bytes_are_pinned(command, p, n, fmt, capsys):
     code, out = run_cli(capsys, command, "--p", p, "--n", n, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ABACUS_DIGESTS[command, p, n, fmt]
+
+
+# sha256 of `kmatrix` and `gram` stdout, recorded before the matrices were
+# written row by row; the last agrees with benchmarks/digests.json
+LABEL_DIGESTS = {
+    ("kmatrix", "3", "0", "json"): "cc18cdb1ca8128d87354583d17e1e39441e0cbce099b80127bce8e1690379f70",
+    ("kmatrix", "3", "0", "csv"): "04bb30f855fb4c329a271e69743703fa177cfd6fde464fe956619a7cf8c43c56",
+    ("gram", "3", "0", "json"): "f57c027c190646d7c42a6f3c9049063a9aa8d904bedac4ca46d25079e11ff3da",
+    ("gram", "3", "0", "csv"): "a684a60575c8d8b23e5deb07b8cc5c4d9096b96e20a0458955e4d4e5b54799dd",
+    ("kmatrix", "3", "1", "json"): "6efef4029648338025cd4e44505a845bebc84494864239783375171e9bcaf806",
+    ("kmatrix", "3", "1", "csv"): "b362f17b2e109f6f358e46dd4ef084f59a38f2df0c78d886086d797d26a7f3ba",
+    ("gram", "3", "1", "json"): "daabd0c13e4563981a9c0c201c97fc0a2ab99e082a53d2c64dbfe3f487ed5958",
+    ("gram", "3", "1", "csv"): "0ce304b2a9248bab92070dbbba8b36a7f601cf9fdc8e52f91fe4afa9bec288c3",
+    ("kmatrix", "3", "6", "json"): "f278232438803cb3b9f915beb4fb997a4cc12ec6122db577bb34b3bd9568fe9f",
+    ("kmatrix", "3", "6", "csv"): "4a46367a765b0bd637db90040f289da5df802870e858804b78b17a7fb51e1b76",
+    ("gram", "3", "6", "json"): "6039bb69e10dbc74644f689bdd15c1217f42cee1d51ff6cbaa22fe36ded24dd1",
+    ("gram", "3", "6", "csv"): "b6b555dbe8f678cd1b42f5c55d538bd95e9e2b71b223de26641e48af9a3e249c",
+    ("kmatrix", "5", "4", "json"): "9daa1c48b5b84dc5d889460316885f8cba80c010cafa8fce97fae8bac2462132",
+    ("kmatrix", "5", "4", "csv"): "0809426a315b3d705d204571299bbce85591760a9979e5e600904f0913597ef3",
+    ("gram", "5", "4", "json"): "9021e4ce425d9362ffe0e63a41d220d411234a350cb64aa69b346926d59f7d99",
+    ("gram", "5", "4", "csv"): "78609c095389a63f7964f7625293821110a2a44ef650925a556e22355a13798c",
+    ("kmatrix", "5", "6", "json"): "349bdbc3771e25021616af33e13d39fc76ab76d9589f4fa5d4b72902f773535a",
+    ("kmatrix", "5", "6", "csv"): "3f913612718b111d532f1a605e83752a3839956c26631ecfc186598de06b12a4",
+    ("gram", "5", "6", "json"): "833b653feac4872e7a58be066ca3b85f0e07c24bfab0f7e9e25f71b710b280b1",
+    ("gram", "5", "6", "csv"): "2f5da261e0500a8ae1292adaf486f5e4a2110f544a15bb35f8c56624b6ade286",
+    ("kmatrix", "7", "4", "json"): "54a5ee13cc99deddd823d9f3e13fa5b7d258a76625afd0282f2148fbf8ebd6e3",
+    ("kmatrix", "7", "4", "csv"): "0123b8d639d5f1a5c0db5fb844fe8a9acff522c351acd7161091bc39dd5831b9",
+    ("gram", "7", "4", "json"): "daedb92cdc8f7caf1b19b2cf47d4d3aaaaaf3e8a01bbeae9069866e3908795d6",
+    ("gram", "7", "4", "csv"): "0aab8a42f43cd4f50ffb721c11dd62077ddb90696272bf90eaca98ebfa6b8f0a",
+    ("kmatrix", "13", "2", "json"): "ae0855376a4b93b217aa379b32a0f8d01b6dc599cc6f17a1c5e283311d567995",
+    ("kmatrix", "13", "2", "csv"): "dae9dccd17fd7454f63c56335810d5be1f9b807272791bf03dd03e1ab1c42a3f",
+    ("gram", "13", "2", "json"): "cbfbf9e6d3dbea0e0ad1d6dec6de1ee48d79e04c3ef1d563c0320ff158d35e98",
+    ("gram", "13", "2", "csv"): "d49a9c9d8261b204d289202364982fff7c8bc8b056ba4478d6bea16d88077bc7",
+    ("kmatrix", "17", "2", "json"): "aae81846034dd8e8e450d5c613d3f21e57aaaac533f78666f754be7a4c2a6c3f",
+    ("kmatrix", "17", "2", "csv"): "c26cf49e5c291b69ba04323f426adfc2233ac1baacb4681ae2df33c973a91b5b",
+    ("gram", "17", "2", "json"): "bcde541c7fb2b5f0284ec67427a35bbfb71fcc6a4eb5a2158580f9b8a53021a7",
+    ("gram", "17", "2", "csv"): "60903ff1248d39846451bab95ce168188accafa508c347cc986af27ebedbe3ad",
+    ("kmatrix", "13", "4", "json"): "01143a8ca4795e52501774280df51d98ffc4b86515293358512d0cf98be2f1e4",
+}
+
+
+@pytest.mark.parametrize("command,p,w,fmt", list(LABEL_DIGESTS))
+def test_label_output_bytes_are_pinned(command, p, w, fmt, capsys):
+    code, out = run_cli(capsys, command, "--p", p, "--w", w, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LABEL_DIGESTS[command, p, w, fmt]
+
+
+@pytest.mark.parametrize("command", ["kmatrix", "gram"])
+@pytest.mark.parametrize("p,w", [("3", "4"), ("5", "3")])
+def test_matrix_formats_carry_the_same_entries(command, p, w, tmp_path, capsys):
+    payload = run_json(capsys, command, "--p", p, "--w", w)
+    path = tmp_path / "m.json"
+    assert main([command, "--p", p, "--w", w, "--out", str(path)]) == 0
+    assert json.loads(path.read_text()) == payload
+    code, out = run_cli(capsys, command, "--p", p, "--w", w, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["row_label", "col_label", "value"]
+    assert rows[1:] == [
+        [payload["rows"][i], payload["cols"][j], str(v)] for i, j, v in payload["entries"]
+    ]
+
+
+@pytest.mark.parametrize("command", ["kmatrix", "gram"])
+def test_matrix_labels_format_each_partition_once(command, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(
+        cli, "format_partition", lambda lam: seen.append(lam) or format_partition(lam))
+    payload = run_json(capsys, command, "--p", "5", "--w", "3")
+    assert sorted(seen) == sorted(lam for n in range(4) for lam in generate_partitions(n))
+    assert payload["cols"] == [format_multipartition(g) for g in decomp.glabels(5, 3)]
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write, or only the final flush, fails."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ("kmatrix", "--p", "3", "--w", "2"),
+    ("gram", "--p", "5", "--w", "2", "--format", "csv"),
+    ("verify", "--p", "3", "--w", "1", "--quiet"),
+    ("blocks", "--p", "3", "--n", "5"),
+])
+def test_a_failed_write_to_stdout_is_an_error(argv, failing, monkeypatch, capsys):
+    """It once ended in a traceback and exit code 1, the code of a failed claim."""
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("kmatrix",), ("gram", "--format", "csv"), ("verify", "--quiet")])
+def test_a_full_stdout_ends_with_one_error_line(argv):
+    """Nothing is left in the stdout buffer for the interpreter to flush at exit
+    (stdout is block-buffered, as it is by default on a file)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wreathdec.cli", *argv, "--p", "3", "--w", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**env, "PYTHONPATH": src},
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_verify_weight_two_all_claims_pass(capsys):

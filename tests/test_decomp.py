@@ -18,13 +18,13 @@ from wreathdec.decomp import (
     degree_G,
     degree_H,
     glabels,
-    gram_entries,
     gram_matrix,
+    gram_rows,
     hlabels,
     induce_H_to_G,
     k_coefficient,
-    k_entries,
     k_matrix,
+    k_rows,
     restrict_G_to_H,
 )
 from wreathdec.partitions import (
@@ -83,10 +83,10 @@ def test_bad_library_arguments_raise_value_error(call, message):
 
 def test_key_rows_are_shared_by_every_p_and_read_only():
     decomp._key_row.cache_clear()
-    k_entries(5, 3)
+    list(k_rows(5, 3))
     misses = decomp._key_row.cache_info().misses
     assert misses == 6  # every multiset of nonempty partitions of total size 3
-    k_entries(3, 3)
+    list(k_rows(3, 3))
     assert decomp._key_row.cache_info().misses == misses
     row = decomp._key_row(((1,),))
     with pytest.raises(TypeError):
@@ -208,18 +208,21 @@ def test_gram_symmetry_and_minors():
 
 
 def test_sparse_gram_entries_are_symmetric_and_equal_k_transpose_k():
-    for p, w in [(3, 3), (5, 2), (7, 2)]:
+    """gram_rows accumulates the upper half only and mirrors it; a dense K^T K
+    checks every entry, at w = 0 too, where the matrix is [[1]]."""
+    cases = [(p, w) for p in (3, 5, 7) for w in range(4)] + [(3, 5), (13, 2)]
+    for p, w in cases:
         kmat = k_matrix(p, w)
         n = len(glabels(p, w))
         dense = [
             [sum(row[i] * row[j] for row in kmat) for j in range(n)] for i in range(n)
         ]
-        entries = gram_entries(p, w)
-        assert entries == [
-            [i, j, v] for i, row in enumerate(dense) for j, v in enumerate(row) if v
-        ]
-        assert sorted([j, i, v] for i, j, v in entries) == entries
+        rows = list(gram_rows(p, w))
+        assert rows == [[(j, v) for j, v in enumerate(line) if v] for line in dense], (p, w)
+        entries = [(i, j, v) for i, row in enumerate(rows) for j, v in row]
+        assert sorted((j, i, v) for i, j, v in entries) == entries
         assert gram_matrix(p, w) == dense
+    assert gram_matrix(3, 0) == gram_matrix(13, 0) == [[1]]
 
 
 def test_gram_unit_block_on_kernel_labels():

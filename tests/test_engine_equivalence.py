@@ -15,8 +15,8 @@ from wreathdec.decomp import (
     hlabels,
     induce_H_to_G,
     k_coefficient,
-    k_entries,
     k_matrix,
+    k_rows,
     r_slot,
     restrict_G_to_H,
 )
@@ -126,6 +126,6 @@ def test_k_matrix_exhaustive_at_p3():
         rows, cols = hlabels(p, w), glabels(p, w)
         expected = [[frozen_k(alpha, gamma, p) for gamma in cols] for alpha in rows]
         assert k_matrix(p, w) == expected
-        assert k_entries(p, w) == [
-            [i, j, v] for i, row in enumerate(expected) for j, v in enumerate(row) if v
+        assert list(k_rows(p, w)) == [
+            [(j, v) for j, v in enumerate(row) if v] for row in expected
         ]
