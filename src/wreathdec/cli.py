@@ -57,15 +57,17 @@ def _guard_from_env() -> int | None:
     return int(digits)
 
 
-def _emit(args, chunks) -> None:
-    """Write the text chunks to --out or stdout, then flush; a failed open,
-    write or flush is a usage error: one `error:` line, exit code 2."""
+def _emit(args, report) -> None:
+    """Open --out, or take stdout, then write the text chunks of report() and
+    flush.  report builds its records inside the stream, so a bad --out fails
+    before any work.  A failed open, write or flush is a usage error: one
+    `error:` line, exit code 2."""
     try:
         if args.out:
             with open(args.out, "w") as fh:
-                fh.writelines(chunks)
+                fh.writelines(report())
         else:
-            sys.stdout.writelines(chunks)
+            sys.stdout.writelines(report())
             sys.stdout.flush()
     except OSError as exc:
         if not args.out:  # so that the exit does not flush what stdout still holds
@@ -76,26 +78,30 @@ def _emit(args, chunks) -> None:
         _fail(f"cannot write {args.out or 'stdout'}: {exc.strerror}")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def _report(args, payload, header, rows) -> int:
-    """Write the JSON object payload() or the CSV header and rows(), as
-    --format asks; only the requested format is built."""
-    if args.format == "json":
-        _emit(args, [_json_text(payload())])
-    else:
-        _emit(args, [_csv_text(header, rows())])
-    return 0
+def _chunks(args, header, head, groups, text, rows, **tail):
+    """A report as one chunk of text per group of records (there is at least
+    one group, and none is empty), so that none is held whole.  CSV: the header
+    and rows(group) of each group.  JSON: the object head, whose last field is
+    an empty list, up to that list's bracket, then text(group), the group's
+    items as JSON text, then the tail fields, as _json writes the whole object."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for group in groups:
+            writer.writerows(rows(group))
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+        return
+    yield _json(head)[:-2]
+    for i, group in enumerate(groups):
+        yield ("," if i else "") + text(group)
+    yield "]" + "".join(f',"{key}":{_json(value)}' for key, value in tail.items()) + "}\n"
 
 
 def _glabel_count(p: int, w: int) -> int:
@@ -124,48 +130,39 @@ def _require_label_args(args, label_guard: int) -> None:
     _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
 
 
-def _label_text(w: int):
-    """format_multipartition for labels of weight w, each partition formatted once."""
-    parts = {lam: format_partition(lam) for n in range(w + 1) for lam in generate_partitions(n)}
-    return lambda label: "[" + ",".join([parts[c] for c in label]) + "]"
+def _matrix_report(args, hlabels, matrix, **tail):
+    """A matrix report, G-label columns and rows hlabels (the G-labels when None),
+    one group per row of (col, value) pairs, every row nonempty (as is each K-row,
+    and each Gram row at its diagonal): JSON [row, col, value] entries, one %
+    format per row, or CSV label triples."""
+    parts = {lam: format_partition(lam) for n in range(args.w + 1) for lam in generate_partitions(n)}
 
+    def label_text(label):  # format_multipartition, each partition formatted once
+        return "[" + ",".join([parts[c] for c in label]) + "]"
 
-def _matrix_chunks(args, rows, cols, matrix, **extra):
-    """One chunk of text per row of (col, value) pairs, every row nonempty (as is
-    each K-row, and each Gram row at its diagonal): JSON [row, col, value] entries
-    with the extra fields last, as json.dumps writes them, or CSV label triples."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["row_label", "col_label", "value"])
-        for i, row in enumerate(matrix):
-            writer.writerows([rows[i], cols[j], v] for j, v in row)
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-        return
-    head = {"p": args.p, "w": args.w, "rows": rows, "cols": cols}
-    yield json.dumps(head, separators=(",", ":"))[:-1] + ',"entries":['
-    for i, row in enumerate(matrix):
-        flat = tuple([x for jv in row for x in jv])
-        yield ("," if i else "") + ",".join([f"[{i},%d,%d]"] * len(row)) % flat
-    yield "]" + "".join(f',"{key}":{value}' for key, value in extra.items()) + "}\n"
+    def entries(row):
+        i, pairs = row
+        return ",".join([f"[{i},%d,%d]"] * len(pairs)) % tuple([x for jv in pairs for x in jv])
+
+    cols = list(map(label_text, decomp.glabels(args.p, args.w)))
+    rows = cols if hlabels is None else list(map(label_text, hlabels))
+    return _chunks(args, ["row_label", "col_label", "value"],
+                   {"p": args.p, "w": args.w, "rows": rows, "cols": cols, "entries": []},
+                   enumerate(matrix), entries,
+                   lambda row: [[rows[row[0]], cols[j], v] for j, v in row[1]], **tail)
 
 
 def cmd_kmatrix(args) -> int:
     _require_label_args(args, KMATRIX_LABEL_GUARD)
-    text = _label_text(args.w)
-    rows = list(map(text, decomp.hlabels(args.p, args.w)))
-    cols = list(map(text, decomp.glabels(args.p, args.w)))
-    _emit(args, _matrix_chunks(args, rows, cols, decomp.k_rows(args.p, args.w)))
+    _emit(args, lambda: _matrix_report(
+        args, decomp.hlabels(args.p, args.w), decomp.k_rows(args.p, args.w)))
     return 0
 
 
 def cmd_gram(args) -> int:
     _require_label_args(args, GRAM_LABEL_GUARD)
-    labels = list(map(_label_text(args.w), decomp.glabels(args.p, args.w)))
-    matrix, det = decomp.gram_rows(args.p, args.w), decomp.gram_determinant(args.p, args.w)
-    _emit(args, _matrix_chunks(args, labels, labels, matrix, determinant=det))
+    _emit(args, lambda: _matrix_report(args, None, decomp.gram_rows(args.p, args.w),
+                                       determinant=decomp.gram_determinant(args.p, args.w)))
     return 0
 
 
@@ -183,38 +180,31 @@ def _require_block_args(args) -> None:
 def cmd_basicset(args) -> int:
     _require_block_args(args)
 
-    def records():  # the grouping is freed before the JSON text is built
+    def groups():  # one group of records per block, its core formatted once
         for (core, weight), members in decomp.blocks(args.n, args.p).items():
-            for lam, basic in members:
-                yield format_partition(lam), format_partition(core), weight, basic
+            core = format_partition(core)
+            yield [(format_partition(lam), core, weight, basic) for lam, basic in members]
 
-    return _report(
-        args,
-        lambda: {"n": args.n, "p": args.p, "partitions": [
+    _emit(args, lambda: _chunks(
+        args, ["partition", "core", "weight", "basic"], {"n": args.n, "p": args.p, "partitions": []},
+        groups(), lambda records: _json([
             {"partition": lam, "core": core, "weight": weight, "basic": basic}
-            for lam, core, weight, basic in records()
-        ]},
-        ["partition", "core", "weight", "basic"],
-        records,
-    )
+            for lam, core, weight, basic in records])[1:-1], list))
+    return 0
 
 
 def cmd_blocks(args) -> int:
     _require_block_args(args)
-    return _report(
-        args,
-        lambda: {"n": args.n, "p": args.p, "blocks": [
-            {"core": format_partition(core), "weight": weight,
-             "partitions": [format_partition(lam) for lam in members]}
-            for (core, weight), members in decomp.block_partition(args.n, args.p).items()
-        ]},
-        ["core", "weight", "partition"],
-        lambda: (
-            [format_partition(core), weight, format_partition(lam)]
-            for (core, weight), members in decomp.block_partition(args.n, args.p).items()
-            for lam in members
-        ),
-    )
+
+    def groups():
+        for (core, weight), members in decomp.block_partition(args.n, args.p).items():
+            yield format_partition(core), weight, list(map(format_partition, members))
+
+    _emit(args, lambda: _chunks(
+        args, ["core", "weight", "partition"], {"n": args.n, "p": args.p, "blocks": []}, groups(),
+        lambda block: _json(dict(zip(["core", "weight", "partitions"], block))),
+        lambda block: [[block[0], block[1], lam] for lam in block[2]]))
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -222,31 +212,32 @@ def cmd_verify(args) -> int:
     # a p above MAX_PRIME gets a skip record from verify_suite
     _require(args.p > oracle.MAX_PRIME or oracle.supported_p(args.p),
              f"p must be an odd prime, got {args.p}")
-    claims = oracle.verify_suite(args.p, args.w, guard=_guard_from_env())
+    guard, claims, tally = _guard_from_env(), [], {}
 
     def params(c):
         return " ".join(f"{k}={v}" for k, v in c.params.items())
 
+    def report():  # the per-claim lines reach stderr before the report starts
+        claims.extend(oracle.verify_suite(args.p, args.w, guard=guard))
+        if not args.quiet:
+            for c in claims:
+                print(f"[{c.status.upper():4}] {c.claim} {params(c)}", file=sys.stderr)
+        tally.update(failed=sum(c.status == "fail" for c in claims),
+                     skipped=sum(c.status == "skip" for c in claims))
+        return _chunks(
+            args, ["claim", "params", "expected", "computed", "status"],
+            {"p": args.p, "w": args.w, "claims": []}, claims,
+            lambda c: _json({"claim": c.claim, "params": {k: str(v) for k, v in c.params.items()},
+                             "expected": c.expected, "computed": c.computed, "status": c.status}),
+            lambda c: [[c.claim, params(c), c.expected, c.computed, c.status]],
+            **tally, passed=not tally["failed"])
+
+    _emit(args, report)
     if not args.quiet:
-        for c in claims:
-            print(f"[{c.status.upper():4}] {c.claim} {params(c)}", file=sys.stderr)
-    failed = sum(c.status == "fail" for c in claims)
-    skipped = sum(c.status == "skip" for c in claims)
-    _report(
-        args,
-        lambda: {"p": args.p, "w": args.w, "claims": [
-            {"claim": c.claim, "params": {k: str(v) for k, v in c.params.items()},
-             "expected": c.expected, "computed": c.computed, "status": c.status}
-            for c in claims
-        ], "failed": failed, "skipped": skipped, "passed": failed == 0},
-        ["claim", "params", "expected", "computed", "status"],
-        lambda: ([c.claim, params(c), c.expected, c.computed, c.status] for c in claims),
-    )
-    if not args.quiet:
-        passed = len(claims) - failed - skipped
-        print(f"{passed}/{len(claims)} claims passed" + (f", {skipped} skipped" if skipped else ""),
-              file=sys.stderr)
-    return 1 if failed else 0
+        passed = len(claims) - tally["failed"] - tally["skipped"]
+        print(f"{passed}/{len(claims)} claims passed"
+              + (f", {tally['skipped']} skipped" if tally["skipped"] else ""), file=sys.stderr)
+    return 1 if tally["failed"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,22 +3,28 @@
 Elements are stored in the canonical power basis 1, z, ..., z^(d-1) of
 Q[x]/(Phi_m), where Phi_m is the m-th cyclotomic polynomial and d its degree,
 so equality is coefficient comparison.  Integral coefficients are stored as
-ints and the others as Fractions; no floating point anywhere.
+ints and the others as Fractions; no floating point anywhere.  An order below
+1, or an order, exponent or coefficient of another type, raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from numbers import Rational
 
+from .partitions import check_size, checked_cache
 
-@cache
+
+def _check_order(m) -> int:
+    if check_size(m, "order") < 1:
+        raise ValueError(f"order must be at least 1, got {m}")
+    return m
+
+
+@checked_cache(_check_order)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, constant term first, computed by dividing
     x^m - 1 by the product of Phi_d over proper divisors d of m."""
-    if m < 1:
-        raise ValueError("m must be positive")
     num = [0] * (m + 1)
     num[0], num[m] = -1, 1
     for d in range(1, m):
@@ -47,7 +53,7 @@ class Cyclotomic:
 
     def __init__(self, order: int, coeffs=()):
         self.order = order
-        d = len(cyclotomic_polynomial(order)) - 1
+        d = len(cyclotomic_polynomial(order)) - 1  # checks the order
         vec = [c if type(c) is int else _exact(c) for c in coeffs]
         if len(vec) > d:
             vec = _reduce(vec, cyclotomic_polynomial(order))
@@ -151,6 +157,8 @@ class Cyclotomic:
 
 def _exact(c) -> int | Fraction:
     # the int itself when the rational c is integral, else a Fraction
+    if isinstance(c, bool) or not isinstance(c, Rational):
+        raise ValueError(f"a coefficient must be an int or Rational, got {c!r}")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -168,7 +176,6 @@ def _reduce(vec: list, phi: tuple[int, ...]) -> list:
 
 def root_of_unity(m: int, k: int) -> Cyclotomic:
     """z_m^k in canonical form."""
-    vec = [0] * (k % m + 1)
-    vec[k % m] = 1
-    return Cyclotomic(m, vec)
+    k = check_size(k, "exponent") % _check_order(m)
+    return Cyclotomic(m, [0] * k + [1])
 

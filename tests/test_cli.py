@@ -208,6 +208,14 @@ VERIFY_DIGESTS = {
     ("7", "2", "json"): "474742b89f40d47b4d3a355b9a1b5ff3966ec168aa6a8d2638a361dccf2c2eae",
     ("13", "1", "json"): "d3dbb3caf11dd1bc9906a62951a454029290494d8456e97bac95eb788a073c83",
     ("17", "1", "json"): "b1a32e466bf9ecbb35d9239c0cb5cb34d3a48ea21c5a07918edbac47644a0e67",
+    # recorded before every report was written chunk by chunk: the skip
+    # reports of an unsupported p and of a group past the guard, and w = 0
+    ("19", "1", "json"): "8d028e25c8268921e042134acf7055445fcba67e4481d6892af1951af6879689",
+    ("19", "1", "csv"): "eafc0384a75d82744441748dec5bbc3d3383a7ae6cf9700263e7d0a0090c000d",
+    ("3", "9", "json"): "c03d333031b2a35b2c86ae772a162b680a82eeae3a7a598d4d42b2e8ce639040",
+    ("3", "9", "csv"): "78d1ad3e5c35beb33b9c44ef7510675398350d856b0c3a606d70a51d26bbf116",
+    ("3", "0", "json"): "d567e55c8146cd1330e7bd2be3b3310bc8ddc36b780b818b8805e343651b953c",
+    ("3", "0", "csv"): "5ae610c43c57fc69248dc2f26d006d972b907c9f7ea3729a7bb25aaa9c12941c",
 }
 
 
@@ -233,6 +241,14 @@ ABACUS_DIGESTS = {
     ("blocks", "41", "40", "csv"): "889c20b3d76b1d185bbbdfe4be2e9f9cd064020503179ad621e54694b0d59daf",
     ("basicset", "37", "40", "json"): "b85b626c582bbfb7886cdad03012d8bf1de9d4243e7210331e106067c2d9fe1a",
     ("basicset", "37", "40", "csv"): "bbf25fdb0184f1da607c493b31c9604ace4cfd776af9d0add9d76af5e764d9fb",
+    # recorded before every report was written chunk by chunk: one block, and
+    # p = 101 above every hook, each partition its own block
+    ("blocks", "3", "1", "json"): "b1e5be0baab2717b75aa819c2c1d96b6091215a8bbf3100a66bcf9a04ef79a22",
+    ("blocks", "3", "1", "csv"): "b6b1058e774302603efd2a668f57a674bfb88cbed7a2de4307ca9634ab9c9f7a",
+    ("basicset", "3", "1", "json"): "0579cb5e500d171a66dc9617a939c525586d13d24b1eaeccf2cfeebba889656d",
+    ("basicset", "3", "1", "csv"): "e3225550b5fc65243753e171305a223c259df6ce58f90baa0b4e24b6e19f3cbe",
+    ("basicset", "101", "7", "json"): "e29db2fdfe1c5d42d7af4ee966958f0d37be7efcef9007b74679ec3f966eccfa",
+    ("basicset", "101", "7", "csv"): "8377dc18e626aa5e4df0db7ac8d5ffe1dda38eb12f72ee3dd15653970504604c",
 }
 
 
@@ -289,20 +305,48 @@ def test_label_output_bytes_are_pinned(command, p, w, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LABEL_DIGESTS[command, p, w, fmt]
 
 
-@pytest.mark.parametrize("command", ["kmatrix", "gram"])
-@pytest.mark.parametrize("p,w", [("3", "4"), ("5", "3")])
+def csv_records(command, payload):
+    """The CSV rows that carry the records of a JSON report, as text."""
+    if command in ("kmatrix", "gram"):
+        return [[payload["rows"][i], payload["cols"][j], str(v)] for i, j, v in payload["entries"]]
+    if command == "blocks":
+        return [[b["core"], str(b["weight"]), lam] for b in payload["blocks"]
+                for lam in b["partitions"]]
+    if command == "basicset":
+        return [[r["partition"], r["core"], str(r["weight"]), str(r["basic"])]
+                for r in payload["partitions"]]
+    return [[c["claim"], " ".join(f"{k}={v}" for k, v in c["params"].items()),
+             c["expected"], c["computed"], c["status"]] for c in payload["claims"]]
+
+
+CSV_HEADERS = {
+    "kmatrix": ["row_label", "col_label", "value"],
+    "gram": ["row_label", "col_label", "value"],
+    "blocks": ["core", "weight", "partition"],
+    "basicset": ["partition", "core", "weight", "basic"],
+    "verify": ["claim", "params", "expected", "computed", "status"],
+}
+
+
+FORMAT_CASES = [
+    (command, p, w) for command in ("kmatrix", "gram") for p, w in (("3", "4"), ("5", "3"))
+] + [("blocks", "3", "12"), ("basicset", "5", "12"), ("verify", "3", "2"), ("verify", "7", "1")]
+
+
+@pytest.mark.parametrize("command,p,w", FORMAT_CASES, ids=[f"{p}-{w}-{c}" for c, p, w in FORMAT_CASES])
 def test_matrix_formats_carry_the_same_entries(command, p, w, tmp_path, capsys):
-    payload = run_json(capsys, command, "--p", p, "--w", w)
+    """Every report, not only the matrices: JSON on stdout equals JSON through
+    --out, and CSV carries the same records (w is n for blocks and basicset)."""
+    argv = [command, "--p", p, "--n" if command in ("blocks", "basicset") else "--w", w]
+    payload = run_json(capsys, *argv)
     path = tmp_path / "m.json"
-    assert main([command, "--p", p, "--w", w, "--out", str(path)]) == 0
+    assert main([*argv, "--out", str(path)]) == 0
     assert json.loads(path.read_text()) == payload
-    code, out = run_cli(capsys, command, "--p", p, "--w", w, "--format", "csv")
+    code, out = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["row_label", "col_label", "value"]
-    assert rows[1:] == [
-        [payload["rows"][i], payload["cols"][j], str(v)] for i, j, v in payload["entries"]
-    ]
+    assert rows[0] == CSV_HEADERS[command]
+    assert rows[1:] == csv_records(command, payload)
 
 
 @pytest.mark.parametrize("command", ["kmatrix", "gram"])
@@ -363,6 +407,58 @@ def test_a_full_stdout_ends_with_one_error_line(argv):
         )
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command,p,size", [("basicset", 7, 40), ("blocks", 3, 40), ("verify", 3, 3)])
+def test_every_report_is_written_one_group_at_a_time(command, p, size, fmt, monkeypatch):
+    """One write per block or claim, plus the JSON head and tail (the CSV header
+    goes with the first group), where the whole report was once one write."""
+    groups = len(oracle.verify_suite(p, size) if command == "verify" else decomp.blocks(size, p))
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    flag = "--w" if command == "verify" else "--n"
+    assert main([command, "--p", str(p), flag, str(size), "--format", fmt]) == 0
+    assert len(stdout.sizes) == groups + (2 if fmt == "json" else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("kmatrix", "--p", "3", "--w", "4"),
+    ("gram", "--p", "3", "--w", "4"),
+    ("basicset", "--p", "7", "--n", "40"),
+    ("blocks", "--p", "3", "--n", "40"),
+    ("verify", "--p", "3", "--w", "4"),
+])
+def test_a_bad_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    """verify --p 3 --w 4 once ran its whole suite, and basicset its abaci,
+    before the --out path was found unwritable."""
+    called = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} called")
+        return refuse
+
+    monkeypatch.setattr(oracle, "verify_suite", spy("verify_suite"))
+    for name in ("blocks", "glabels", "hlabels"):
+        monkeypatch.setattr(decomp, name, spy(name))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "missing" / "x")])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write "), lines
+    assert called == []
 
 
 def test_verify_weight_two_all_claims_pass(capsys):

@@ -77,6 +77,34 @@ def test_incompatible_orders_raise():
         root_of_unity(4, 1) * root_of_unity(8, 1)
 
 
+@pytest.mark.parametrize("call", [
+    "Cyclotomic(2.0)",
+    "Cyclotomic(True, [1])",
+    "Cyclotomic(0)",
+    "Cyclotomic(-4, [1])",
+    "root_of_unity(4, 1.5)",
+    "root_of_unity(4.0, 1)",
+    "root_of_unity(4, True)",
+    "root_of_unity(0, 1)",
+    "Cyclotomic(4, ['1/2'])",
+    "Cyclotomic(4, [0.1])",
+    "Cyclotomic(4, [1, False])",
+    "Cyclotomic.from_rational(4, True)",
+    "Cyclotomic.from_rational(4, 0.5)",
+    "Cyclotomic.from_rational(4, '1/2')",
+    "cyclotomic_polynomial(2.0)",
+    "cyclotomic_polynomial(True)",
+])
+def test_bad_orders_exponents_and_coefficients_raise_value_error(call):
+    """They once raised TypeError, or were taken as the order True, the
+    coefficient 1/2 parsed from text, or the binary value of the float 0.1."""
+    cyclotomic_polynomial(1), cyclotomic_polynomial(2)  # a cached entry must not answer
+    names = {"Cyclotomic": Cyclotomic, "root_of_unity": root_of_unity,
+             "cyclotomic_polynomial": cyclotomic_polynomial}
+    with pytest.raises(ValueError):
+        eval(call, names)
+
+
 def test_rational_promotion():
     z = root_of_unity(4, 1)
     assert z + 0 == z
@@ -84,6 +112,9 @@ def test_rational_promotion():
     assert 2 * z == z + z
     assert (1 - z) + z == 1
     assert z * Fraction(1, 2) + z * Fraction(1, 2) == z
+    assert Cyclotomic(4, [Fraction(1, 2), 3, Fraction(4, 2)]).coeffs == (Fraction(-3, 2), 3)
+    assert Cyclotomic.from_rational(4, Fraction(6, 3)).coeffs == (2, 0)
+    assert type(Cyclotomic.from_rational(4, Fraction(6, 3)).coeffs[0]) is int
 
 
 small_elt = st.tuples(
