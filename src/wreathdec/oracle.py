@@ -212,14 +212,14 @@ def _cycle_product_ids(mul, f, cycles) -> list[int]:
     return out
 
 
-def _monomial(mul, table, coef: int, cycles, f) -> tuple[int, int]:
+def _monomial(table, coef: int, prods) -> tuple[int, int]:
     """The value c * z^k, as (c, k), at (f, sigma) of a base character tensored
     with a symmetric-group character: `coef`, that character's value at sigma,
-    times the base values at the products along `cycles`, sigma's cycles.  f
-    holds base-element numbers, all in the table's domain, and `table` lists
-    the base character's monomials by element number (None off its domain)."""
+    times the base values at `prods`, the products of f along sigma's cycles,
+    which the caller computes once (`_cycle_product_ids`).  `table` lists the
+    base character's monomials by element number (None off its domain)."""
     exp = 0
-    for x in _cycle_product_ids(mul, f, cycles):
+    for x in prods:
         c, e = table[x]
         coef *= c
         exp += e
@@ -381,6 +381,13 @@ def _wreath_cached(p: int, w: int, kind: str) -> WreathGroup:
     return WreathGroup(pair.G if kind == "G" else pair.H, w)
 
 
+def _check_weight_and_guard(w, guard) -> None:
+    if check_size(w, "w") < 0:
+        raise ValueError(f"w must be nonnegative, got {w}")
+    if guard is not None and (type(guard) is not int or guard < 0):
+        raise ValueError(f"guard must be None or a nonnegative int, got {guard!r}")
+
+
 def wreath_group(
     p: int, w: int, kind: str = "G", guard: Optional[int] = None
 ) -> WreathGroup:
@@ -389,12 +396,7 @@ def wreath_group(
     factor only until it passes the guard, so a huge w is refused at once."""
     if kind not in ("G", "H"):
         raise ValueError("kind must be 'G' or 'H'")
-    if type(w) is not int:
-        raise ValueError(f"w must be an int, got {w!r}")
-    if w < 0:
-        raise ValueError(f"w must be nonnegative, got {w}")
-    if guard is not None and (type(guard) is not int or guard < 0):
-        raise ValueError(f"guard must be None or a nonnegative int, got {guard!r}")
+    _check_weight_and_guard(w, guard)
     base_group(p)  # validates p
     limit = DEFAULT_GUARD if guard is None else guard
     base_size = p * (p - 1) if kind == "G" else p - 1
@@ -474,7 +476,7 @@ def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partit
         cycles, ctype = perm_cycles(sigma)
         value = mn_value(lam, ctype)
         for v, f in f_parts:
-            c, e = _monomial(mul, table, value, cycles, f) if value else (0, 0)
+            c, e = _monomial(table, value, _cycle_product_ids(mul, f, cycles)) if value else (0, 0)
             entries.append((v + perm_part, c, e % m))
     return entries
 
@@ -543,11 +545,12 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     else:
         m, mul = group.base.value_order, group.base.mul_table
         _, _, table, lam = blocks[0] if blocks else (0, 0, group.base.monomials[0], ())
-        reps = [(f, *perm_cycles(sigma)) for f, sigma in map(group._split, group._rep_ids)]
-        chi = ClassFunction(group, [
-            _cyclotomic(m, *_monomial(mul, table, mn_value(lam, ctype), cycles, f)).coeffs
-            for f, cycles, ctype in reps
-        ])
+        rows = []
+        for f, sigma in map(group._split, group._rep_ids):
+            cycles, ctype = perm_cycles(sigma)
+            value = _monomial(table, mn_value(lam, ctype), _cycle_product_ids(mul, f, cycles))
+            rows.append(_cyclotomic(m, *value).coeffs)
+        chi = ClassFunction(group, rows)
     if inner_product(chi, chi) != 1:
         raise RuntimeError(f"character {label} does not have norm 1")
     group._char_cache[label] = chi
@@ -665,8 +668,11 @@ class ClaimResult(NamedTuple):
 
 
 def _claim(name, params, expected, computed) -> ClaimResult:
+    """Each distinct side is written once: a claim that compares an object
+    with itself holds one string for both."""
+    text = repr(expected)
     status = "pass" if expected == computed else "fail"
-    return ClaimResult(name, params, repr(expected), repr(computed), status)
+    return ClaimResult(name, params, text, text if computed is expected else repr(computed), status)
 
 
 def base_group_claims(p: int) -> list[ClaimResult]:
@@ -774,42 +780,31 @@ def character_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimR
 def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResult]:
     """Value-by-value agreement, on the embedded small wreath product, of the
     big-group extension characters with the small-group ones, and the closed
-    form for the heavy slot."""
+    form for the heavy slot, in one walk over the small wreath product: each
+    element's cycle products through G's table and through H's.  A
+    symmetric-group value v scales both sides alike, and v = 1 (the trivial
+    character) occurs at every cycle type, so monomials compare at v = 1."""
     pair = base_group(p)
-    gw = wreath_group(p, w, "G", guard)
+    wreath_group(p, w, "G", guard)  # refused past the guard, as in every suite
     hw = wreath_group(p, w, "H", guard)
     m = p - 1
-    out = []
-    lams = generate_partitions(w)
-    values = {rho: [mn_value(lam, rho) for lam in lams] for rho in lams}  # by cycle type
-    mul_g, mul_h = gw.base.mul_table, hw.base.mul_table
-    h_elems = [(f, *perm_cycles(sigma)) for f, sigma in map(hw._split, range(hw.order))]
-    for i in pair.islots:
-        big_table = pair.G.monomials[i - 1]
-        small_table = pair.H.monomials[pair.islots.index(i)]
-        ok = True
-        for f, cycles, ctype in h_elems:
-            for value in values[ctype]:
-                # c z^k = -c z^(k + m/2), so monomials compare as cyclotomics
-                big = _monomial(mul_g, big_table, value, cycles, f)
-                small = _monomial(mul_h, small_table, value, cycles, f)
-                ok = ok and (big == small or _cyclotomic(m, *big) == _cyclotomic(m, *small))
-        out.append(
-            _claim(
-                "linear_extension_agrees_on_complement",
-                {"p": p, "w": w, "slot": i},
-                True,
-                ok,
-            )
-        )
+    slots = [(pair.G.monomials[i - 1], small) for i, small in zip(pair.islots, pair.H.monomials)]
     psi_r = pair.G.monomials[pair.r - 1]
-    ok = True
-    for f, cycles, _ in h_elems:  # the trivial character of S_w is 1
-        got = _cyclotomic(m, *_monomial(mul_g, psi_r, 1, cycles, f))
-        prods = _cycle_product_ids(mul_g, f, cycles)
-        expected = (p - 1) ** len(prods) if not any(prods) else 0
-        ok = ok and got == expected
-    out.append(_claim("heavy_extension_closed_form", {"p": p, "w": w}, True, ok))
+    agree, heavy_ok = [True] * len(slots), True
+    for j in range(hw.order):
+        f, sigma = hw._split(j)
+        cycles = perm_cycles(sigma)[0]
+        prods_g = _cycle_product_ids(pair.G.mul_table, f, cycles)
+        prods_h = _cycle_product_ids(pair.H.mul_table, f, cycles)
+        for s, (big_table, small_table) in enumerate(slots):
+            big, small = _monomial(big_table, 1, prods_g), _monomial(small_table, 1, prods_h)
+            # c z^k = -c z^(k + m/2), so monomials compare as cyclotomics
+            agree[s] = agree[s] and (big == small or _cyclotomic(m, *big) == _cyclotomic(m, *small))
+        expected = (p - 1) ** len(prods_g) if not any(prods_g) else 0
+        heavy_ok = heavy_ok and _cyclotomic(m, *_monomial(psi_r, 1, prods_g)) == expected
+    out = [_claim("linear_extension_agrees_on_complement", {"p": p, "w": w, "slot": i}, True, ok)
+           for i, ok in zip(pair.islots, agree)]
+    out.append(_claim("heavy_extension_closed_form", {"p": p, "w": w}, True, heavy_ok))
     return out
 
 
@@ -918,7 +913,10 @@ def reconstruction_claims(p: int, k: int, guard: Optional[int] = None) -> list[C
 def verify_suite(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResult]:
     """All claims for the given parameters: the Mackey suite when w >= 1, the
     reconstruction suite when 1 <= w <= 2.  Groups that would exceed the
-    element guard produce 'skip' records instead of failures."""
+    element guard produce 'skip' records instead of failures, as does an
+    int p with no base group; malformed arguments raise before any work."""
+    check_size(p, "p")
+    _check_weight_and_guard(w, guard)
     try:
         base_group(p)
     except ValueError as exc:

@@ -24,6 +24,7 @@ from frozen_wreath import (
 
 from wreathdec import decomp, oracle
 from wreathdec.oracle import (
+    BaseGroup,
     GuardError,
     WreathGroup,
     _cycle_product_ids,
@@ -203,6 +204,75 @@ def test_tilde_agreement_claims():
         all_pass(tilde_restriction_claims(p, w))
 
 
+def patched_tilde_claims(monkeypatch, p, w, kind, table, number, monomial):
+    """The tilde claims on a copy of the base pair whose `kind` group has
+    monomial table `table` changed at element `number`."""
+    pair = base_group(p)
+    base = getattr(pair, kind)
+    tables = list(base.monomials)
+    tables[table] = tables[table][:number] + (monomial,) + tables[table][number + 1:]
+    patched = BaseGroup(kind, base.elements, base.mul_table, base.inv_table, base.value_order,
+                        base.generators, tuple(tables))
+    monkeypatch.setattr(oracle, "base_group", lambda q: pair._replace(**{kind: patched}))
+    try:
+        claims = tilde_restriction_claims(p, w)
+    finally:
+        oracle._wreath_cached.cache_clear()  # no group on the patched pair outlives the test
+    return [(c.claim, c.params.get("slot"), c.status) for c in claims]
+
+
+@pytest.mark.parametrize("p,w", [(3, 2), (5, 2), (7, 1)])
+def test_a_wrong_complement_value_fails_exactly_its_slot(p, w, monkeypatch):
+    """One H-table monomial of slot i, moved by a power of z, fails slot i's
+    agreement claim and no other."""
+    pair = base_group(p)
+    for k, slot in enumerate(pair.islots):
+        c, e = pair.H.monomials[k][1]
+        got = patched_tilde_claims(monkeypatch, p, w, "H", k, 1, (c, (e + 1) % (p - 1)))
+        assert got == [("linear_extension_agrees_on_complement", i, "fail" if i == slot else "pass")
+                       for i in pair.islots] + [("heavy_extension_closed_form", None, "pass")]
+
+
+@pytest.mark.parametrize("p,w", [(3, 2), (5, 2), (7, 1)])
+def test_a_wrong_heavy_value_fails_the_closed_form(p, w, monkeypatch):
+    """psi_r changed at one H number, the identity or another, fails the
+    heavy closed form and leaves every slot's agreement standing."""
+    pair = base_group(p)
+    psi_r = pair.G.monomials[pair.r - 1]
+    for number in (0, 1):
+        c, e = psi_r[number]
+        got = patched_tilde_claims(monkeypatch, p, w, "G", pair.r - 1, number, (c + 1, e))
+        assert got == [("linear_extension_agrees_on_complement", i, "pass")
+                       for i in pair.islots] + [("heavy_extension_closed_form", None, "fail")]
+
+
+@pytest.mark.parametrize("p,w,calls", [(3, 3, 96), (5, 2, 64), (7, 2, 144), (17, 1, 32)])
+def test_tilde_claims_take_two_cycle_product_lists_per_element(p, w, calls, monkeypatch):
+    """One list through G's table and one through H's per element of the
+    small wreath product, shared by every slot and symmetric-group value."""
+    hw = wreath_group(p, w, "H")
+    wreath_group(p, w, "G")  # built first, so its class check is not counted
+    count = []
+    products = oracle._cycle_product_ids
+
+    def counting(*args):
+        count.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(oracle, "_cycle_product_ids", counting)
+    all_pass(tilde_restriction_claims(p, w))
+    assert len(count) == 2 * hw.order == calls
+
+
+def test_a_self_compared_claim_holds_one_string():
+    members = [[0, 2], [1]]
+    claim = oracle._claim("orbit_classes_match_cycle_structure", {}, members, members)
+    assert claim.expected is claim.computed and claim.status == "pass"
+    structure = [c for c in class_structure_claims(3, 4)
+                 if c.claim == "orbit_classes_match_cycle_structure"]
+    assert len(structure) == 2 and all(c.expected is c.computed for c in structure)
+
+
 def test_oracle_restriction_weight_one():
     assert oracle_restriction(((1,), (), ()), 3) == {((1,), ()): 1}
     assert oracle_restriction(((), (1,), ()), 3) == {((1,), ()): 1, ((), (1,)): 1}
@@ -357,6 +427,23 @@ def test_verify_suite_small():
     claims = verify_suite(3, 1)
     assert all(c.status == "pass" for c in claims)
     assert any(c.claim == "restriction_matches_formula" for c in claims)
+
+
+@pytest.mark.parametrize("args,guard,message", [
+    ((3.0, 1), None, "p must be an int, got 3.0"),
+    ((True, 1), None, "p must be an int, got True"),
+    ((19, 1.5), None, "w must be an int, got 1.5"),
+    ((19, -1), None, "w must be nonnegative, got -1"),
+    ((19, 1), "x", "guard must be None or a nonnegative int, got 'x'"),
+])
+def test_verify_suite_checks_its_arguments_before_any_work(args, guard, message, monkeypatch):
+    """A malformed argument raises, whatever p, before the base-group claims;
+    only an int p without a base group gets a skip record."""
+    called = []
+    monkeypatch.setattr(oracle, "base_group_claims", called.append)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_suite(*args, guard=guard)
+    assert not called
 
 
 def test_verify_suite_skips_unsupported():
