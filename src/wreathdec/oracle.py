@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import chain, combinations, permutations, repeat
 from math import prod
 from typing import NamedTuple, Optional
 
@@ -86,22 +86,22 @@ class BaseGroup:
         self.value_order = value_order
         self.generators = tuple(generators)
         conj = [[mul[mul[s][j]][inv_table[s]] for j in range(len(mul))] for s in self.generators]
-        reps, sizes, assigned = _orbits(len(mul), lambda j: [c[j] for c in conj])
+        reps, sizes, assigned = _orbits(len(mul), [[(c, 0) for c in conj]])
         self.class_reps = tuple(self.elements[i] for i in reps)
         self.class_sizes = tuple(sizes)
         self.class_of_index = tuple(assigned)
 
 
-def _orbits(size, conjugates):
+def _orbits(size, steps):
     """Conjugacy classes of the elements 0..size-1 as orbits closed
-    breadth-first under `conjugates`, which lists the conjugates of an element
-    by each generator.  Elements are scanned in order and each unassigned one
-    represents a new class, so classes are numbered by their smallest
-    element.  Returns the representatives (element numbers), the class sizes
-    and the class of every element.  The generators must generate the group:
-    at w = 1 the wreath check compares this routine with itself (on the base
-    group's generators), so only the tests catch a wrong generating set."""
-    assigned = [-1] * size
+    breadth-first under a generating set's int maps: element f * len(steps)
+    + s goes to f_map[f] + t for each pair (f_map, t) in steps[s].  Elements
+    are scanned in order and each unassigned one represents a new class, so
+    classes are numbered by their smallest element.  Returns the
+    representatives, the class sizes and the class of every element.  The
+    generators must generate the group: at w = 1 the wreath check compares
+    this routine with itself, so only the tests catch a wrong generating set."""
+    nperms, assigned = len(steps), [-1] * size
     reps, sizes = [], []
     for i in range(size):
         if assigned[i] >= 0:
@@ -109,13 +109,23 @@ def _orbits(size, conjugates):
         assigned[i] = c = len(reps)
         orbit = [i]
         for j in orbit:  # the list grows while it is walked
-            for k in conjugates(j):
+            f, s = divmod(j, nperms)
+            for f_map, t in steps[s]:
+                k = f_map[f] + t
                 if assigned[k] < 0:
                     assigned[k] = c
                     orbit.append(k)
         reps.append(i)
         sizes.append(len(orbit))
     return reps, sizes, assigned
+
+
+def _outer_sum(columns) -> list[int]:
+    """Sum of columns[t][d_t] over t for every digit tuple d, in product order."""
+    acc = [0]
+    for col in columns:
+        acc = [a + v for a in acc for v in col]
+    return acc
 
 
 class BasePair(NamedTuple):
@@ -299,80 +309,83 @@ class WreathGroup:
 
     def _conjugates(self, generators):
         """Conjugation by each generator, given as (base generator numbers,
-        permutations), as a map on ids.  Conjugating (f, sigma) by a
-        permutation pi gives (f o pi^-1, pi sigma pi^-1): one map on f-ranks
-        and one on perm ranks.  Conjugating by b in coordinate 0 multiplies
-        coordinate 0 by b on the left and coordinate sigma(0) by b^-1 on the
-        right: one map on f-ranks for each value of sigma(0)."""
+        permutations), as `_orbits` steps on ids.  An f-map sends digit x of
+        coordinate t to digit dmap_t[x] of coordinate pos[t]: an outer sum
+        over the coordinates, pre-multiplied by w!.  Conjugating (f, sigma) by
+        a permutation pi gives (f o pi^-1, pi sigma pi^-1): pos = pi with the
+        identity digit maps, and a map on perm ranks.  Conjugating by b in
+        coordinate 0 multiplies coordinate 0 by b on the left and coordinate
+        sigma(0) by b^-1 on the right: one f-map per value of sigma(0)."""
         base_gens, perms = generators
-        base, w, nperms = self.base, self.w, len(self._perms)
-        n, mul, inv = len(base.elements), base.mul_table, base.inv_table
-        weights = [n ** (w - 1 - i) for i in range(w)]
-        f_digits = list(product(range(n), repeat=w))
+        w, nperms = self.w, len(self._perms)
+        n, mul, inv = len(self.base.elements), self.base.mul_table, self.base.inv_table
 
-        def rank(d):
-            return sum(x * wt for x, wt in zip(d, weights))
+        def f_map(pos, dmaps):
+            return _outer_sum([[x * n ** (w - 1 - pos[t]) * nperms for x in dmaps[t]]
+                               for t in range(w)])
 
-        perm_maps, base_maps = [], []
-        for sigma in perms:
-            pinv = _inv_perm(sigma)
-            f_map = [rank([d[i] for i in pinv]) for d in f_digits]
-            p_map = [self._perm_rank[tuple(sigma[s[i]] for i in pinv)] for s in self._perms]
-            perm_maps.append((f_map, p_map))
+        steps = [[] for _ in self._perms]
+        for pi in perms:
+            fm, pinv = f_map(pi, [range(n)] * w), _inv_perm(pi)
+            for step, sigma in zip(steps, self._perms):
+                step.append((fm, self._perm_rank[tuple(pi[sigma[i]] for i in pinv)]))
         for b in base_gens:
-            bi = inv[b]
-            maps = []
-            for c in range(w):  # c = sigma(0)
-                row = []
-                for d in f_digits:
-                    d = list(d)
-                    d[0] = mul[b][d[0]]
-                    d[c] = mul[d[c]][bi]
-                    row.append(rank(d))
-                maps.append(row)
-            base_maps.append(maps)
-        first = [s[0] for s in self._perms] if base_maps else []
-
-        def conjugates(j):
-            f, s = divmod(j, nperms)
-            out = [f_map[f] * nperms + p_map[s] for f_map, p_map in perm_maps]
-            out += [maps[first[s]][f] * nperms + s for maps in base_maps]
-            return out
-
-        return conjugates
+            left, right = mul[b], [row[inv[b]] for row in mul]
+            by_first = []  # by c = sigma(0)
+            for c in range(w):
+                dmaps = [range(n)] * w
+                dmaps[c] = right
+                dmaps[0] = [right[x] for x in left] if c == 0 else left
+                by_first.append(f_map(range(w), dmaps))
+            for s, (step, sigma) in enumerate(zip(steps, self._perms)):
+                step.append((by_first[sigma[0]], s))
+        return steps
 
     def _build_classes(self, generators):
         reps, sizes, assigned = _orbits(self.order, self._conjugates(generators))
         # the orbits must be the classes of cycle labels: each label (keyed by
         # its sorted (cycle length, base class) pairs) lies in one orbit, and
-        # there are as many labels as orbits
-        base = self.base
-        mul, base_class = base.mul_table, base.class_of_index
-        cycle_lists = [perm_cycles(s)[0] for s in self._perms]
+        # there are as many labels as orbits.  Each distinct cycle has one
+        # string of base classes over the f-ranks; a permutation's elements
+        # zip its cycles' strings with their orbits, and each distinct tuple
+        # is keyed once
+        nperms, cycle_strings = len(self._perms), {}
         label_class: dict[tuple, int] = {}
-        ids = iter(assigned)
-        for f in product(range(len(base.elements)), repeat=self.w):
-            for cycles in cycle_lists:
-                key = tuple(sorted(
-                    (len(cyc), base_class[x])
-                    for cyc, x in zip(cycles, _cycle_product_ids(mul, f, cycles))
-                ))
-                c = next(ids)
-                if label_class.setdefault(key, c) != c:
+        for s, sigma in enumerate(self._perms):
+            cycles = perm_cycles(sigma)[0]
+            for cyc in cycles:
+                if cyc not in cycle_strings:
+                    cycle_strings[cyc] = _cycle_classes(self.base, self.w, cyc)
+            lengths = [len(cyc) for cyc in cycles]
+            for *classes, c in set(zip(*map(cycle_strings.get, cycles), assigned[s::nperms])):
+                if label_class.setdefault(tuple(sorted(zip(lengths, classes))), c) != c:
                     raise RuntimeError("conjugation orbits disagree with cycle structures")
         if len(label_class) != len(reps):
             raise RuntimeError("conjugation orbits disagree with cycle structures")
         labels = [None] * len(reps)
-        for key, c in label_class.items():
-            parts: list[list[int]] = [[] for _ in base.class_reps]
-            for length, b in key:
-                parts[b].append(length)
-            labels[c] = tuple(tuple(sorted(ps, reverse=True)) for ps in parts)
+        for key, c in label_class.items():  # keys are sorted: each class's lengths ascend
+            labels[c] = tuple(tuple(length for length, x in reversed(key) if x == b)
+                              for b in range(len(self.base.class_reps)))
         self.class_reps = tuple(self._decode(i) for i in reps)
         self.class_sizes = tuple(sizes)
         self.class_labels = tuple(labels)
         self.class_of_index = tuple(assigned)
         self._rep_ids = tuple(reps)
+
+
+def _cycle_classes(base: BaseGroup, w: int, cyc: tuple[int, ...]) -> bytes:
+    """The base class of f's product along one cycle, for every f-rank on w
+    coordinates, one byte each (a base group has at most 17 classes):
+    products over the cycle's own digits, in cycle order, read through an
+    outer sum of those digits' weights."""
+    n, mul = len(base.elements), base.mul_table
+    vals = range(n)
+    for _ in cyc[1:]:
+        vals = [mul[x][y] for x in vals for y in range(n)]
+    table = [base.class_of_index[x] for x in vals]
+    weight = {t: n ** (len(cyc) - 1 - i) for i, t in enumerate(cyc)}
+    return bytes([table[i] for i in _outer_sum([[x * weight.get(t, 0) for x in range(n)]
+                                                for t in range(w)])])
 
 
 @cache
@@ -412,12 +425,9 @@ def wreath_group(
 
 
 def conjugacy_classes(group: WreathGroup) -> list[ClassData]:
-    return [
-        ClassData(label, rep, size)
-        for label, rep, size in zip(
-            group.class_labels, group.class_reps, group.class_sizes
-        )
-    ]
+    if not isinstance(group, WreathGroup):
+        raise ValueError(f"group must be a WreathGroup, got {group!r}")
+    return [ClassData(*c) for c in zip(group.class_labels, group.class_reps, group.class_sizes)]
 
 
 class ClassFunction:
@@ -439,6 +449,9 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     taken in the group ring of the order-m cyclic group, one coefficient per
     power of the root z (z^i times conj(z^j) is z^(i-j)), and reduced to the
     field once."""
+    for x in (a, b):
+        if not isinstance(x, ClassFunction):
+            raise ValueError(f"inner_product takes two ClassFunctions, got {x!r}")
     if a.group is not b.group:
         raise ValueError("class functions live on different groups")
     m = a.group.base.value_order
@@ -528,6 +541,8 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
     block that subgroup is the whole group, so the block character is
     evaluated directly on class representatives (at w = 0, the trivial table
     with the empty partition).  The norm is checked here, once: it must be 1."""
+    if not isinstance(group, WreathGroup):
+        raise ValueError(f"group must be a WreathGroup, got {group!r}")
     _check_label(label, len(group.base.monomials))
     if sum(map(sum, label)) != group.w:
         raise ValueError(f"label size must be {group.w}")
@@ -720,18 +735,10 @@ def class_structure_claims(p: int, w: int, guard: Optional[int] = None) -> list[
         for j, c in enumerate(group.class_of_index):
             members[c].append(j)
         out.append(_claim("orbit_classes_match_cycle_structure", params, members, members))
-        s = len(group.base.class_reps)
-        out.append(
-            _claim(
-                "class_count_is_multipartition_count",
-                params,
-                len(generate_multipartitions(w, s)),
-                len(group.class_reps),
-            )
-        )
-        out.append(
-            _claim("class_sizes_sum_to_order", params, group.order, sum(group.class_sizes))
-        )
+        out.append(_claim("class_count_is_multipartition_count", params,
+                          len(generate_multipartitions(w, len(group.base.class_reps))),
+                          len(group.class_reps)))
+        out.append(_claim("class_sizes_sum_to_order", params, group.order, sum(group.class_sizes)))
         # centralizer-order cross-check: per class, the product over base
         # classes and part sizes of (part * base centralizer)^mult * mult!
         ok = True
@@ -751,28 +758,16 @@ def character_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimR
         group = wreath_group(p, w, kind, guard)
         params = {"p": p, "w": w, "group": kind}
         t = p if kind == "G" else p - 1
-        chars = [
-            parametrized_character(group, lab) for lab in generate_multipartitions(w, t)
-        ]
+        chars = [parametrized_character(group, lab) for lab in generate_multipartitions(w, t)]
         # parametrized_character has raised on any norm other than 1
         out.append(_claim("characters_have_norm_one", params, True, True))
-        orth_ok = all(
-            inner_product(a, b) == 0 for a, b in combinations(chars, 2)
-        )
+        orth_ok = all(inner_product(a, b) == 0 for a, b in combinations(chars, 2))
         out.append(_claim("characters_pairwise_orthogonal", params, True, orth_ok))
-        out.append(
-            _claim(
-                "squared_degrees_sum_to_order",
-                params,
-                group.order,
-                sum(c.degree() ** 2 for c in chars),
-            )
-        )
+        out.append(_claim("squared_degrees_sum_to_order", params, group.order,
+                          sum(c.degree() ** 2 for c in chars)))
         degfn = decomp.degree_G if kind == "G" else decomp.degree_H
-        degs_ok = all(
-            c.degree() == degfn(lab, p)
-            for c, lab in zip(chars, generate_multipartitions(w, t))
-        )
+        degs_ok = all(c.degree() == degfn(lab, p)
+                      for c, lab in zip(chars, generate_multipartitions(w, t)))
         out.append(_claim("degrees_match_formula", params, True, degs_ok))
     return out
 

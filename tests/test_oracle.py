@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,27 @@ def test_conjugacy_classes_accessor():
     assert len({c.label for c in data}) == 3
 
 
+@pytest.mark.parametrize("group", ["x", None, base_group(3).G], ids=["str", "None", "base"])
+def test_conjugacy_classes_refuses_what_is_not_a_wreath_group(group):
+    with pytest.raises(ValueError, match="group must be a WreathGroup, got "):
+        conjugacy_classes(group)
+
+
+@pytest.mark.parametrize("group", ["x", None, base_group(3).G], ids=["str", "None", "base"])
+def test_parametrized_character_refuses_what_is_not_a_wreath_group(group):
+    with pytest.raises(ValueError, match="group must be a WreathGroup, got "):
+        parametrized_character(group, ((1,), (), ()))
+
+
+@pytest.mark.parametrize("other", ["x", None, ((1, 0), (1, 0), (1, 0))],
+                         ids=["str", "None", "rows"])
+def test_inner_product_refuses_what_is_not_a_class_function(other):
+    chi = parametrized_character(wreath_group(3, 1, "G"), ((1,), (), ()))
+    for a, b in ((chi, other), (other, chi)):
+        with pytest.raises(ValueError, match="inner_product takes two ClassFunctions, got "):
+            inner_product(a, b)
+
+
 def test_trivial_label_gives_trivial_character():
     for p, w in [(3, 2), (5, 1)]:
         gw = wreath_group(p, w, "G")
@@ -262,6 +284,65 @@ def test_tilde_claims_take_two_cycle_product_lists_per_element(p, w, calls, monk
     monkeypatch.setattr(oracle, "_cycle_product_ids", counting)
     all_pass(tilde_restriction_claims(p, w))
     assert len(count) == 2 * hw.order == calls
+
+
+def test_the_class_build_takes_one_class_string_per_distinct_cycle(monkeypatch):
+    """Building G at (3, 4) reads no element's cycle products: each distinct
+    cycle of S_4 gets one string of base classes over the f-ranks, and there
+    are sum over k of C(4, k) (k - 1)! = 24 of them."""
+    strings, products = [], []
+    cycle_classes, cycle_products = oracle._cycle_classes, oracle._cycle_product_ids
+
+    def counting(base, w, cyc):
+        strings.append(cyc)
+        return cycle_classes(base, w, cyc)
+
+    monkeypatch.setattr(oracle, "_cycle_classes", counting)
+    monkeypatch.setattr(oracle, "_cycle_product_ids",
+                        lambda *args: products.append(args) or cycle_products(*args))
+    WreathGroup(base_group(3).G, 4)
+    assert products == []
+    assert len(strings) == len(set(strings)) == 24
+    assert len(strings) == sum(comb(4, k) * factorial(k - 1) for k in range(1, 5))
+
+
+CLASS_DATA_SHA256 = {  # recorded at 2e5beee, whose build keyed every element's label
+    (5, 3, "G"): "904779367aa1d906441d119e343756b752eb746c9c7fd416fc1aff196c3c2fe9",
+    (5, 3, "H"): "adc3a0421bfc4c33753838339b0f2d25fd519c20780a0ff5ba3fcca5cec38065",
+    (7, 3, "G"): "f7faaf1087fc2e46eab9fca9d3d6a4b28000b126ed5a6ae372686311098dba83",
+    (7, 3, "H"): "221a2770361d7e1cf213bdb88167c29b593d32335a9d90cf6b7f4435a45224c7",
+}
+
+
+@pytest.mark.parametrize("p,w,kind", list(CLASS_DATA_SHA256))
+def test_class_data_is_pinned_past_the_frozen_builds(p, w, kind):
+    """The sha256 of the labels, sizes, class of every id and representative
+    ids, at sizes the frozen class builds do not reach.  The group is built
+    afresh, so the process-wide group cache does not keep it."""
+    group = WreathGroup(getattr(base_group(p), kind), w)
+    data = (group.class_labels, group.class_sizes, group.class_of_index, group._rep_ids)
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == CLASS_DATA_SHA256[p, w, kind]
+
+
+def misclassed_base(x: int, c: int) -> BaseGroup:
+    """A copy of G at p = 3 with element number x put in base class c; its
+    multiplication table, and so every conjugation orbit, is G's."""
+    G = base_group(3).G
+    bad = BaseGroup("G", G.elements, G.mul_table, G.inv_table, G.value_order, G.generators,
+                    G.monomials)
+    bad.class_of_index = tuple(c if i == x else k for i, k in enumerate(G.class_of_index))
+    return bad
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("x,c", [(x, c) for x in range(6) for c in range(3)
+                                 if c != base_group(3).G.class_of_index[x]])
+def test_a_base_element_in_a_wrong_class_fails_the_label_check(x, c, w):
+    """The orbits come from the multiplication table and the labels from the
+    base classes, so one element moved to another class gives a label seen
+    in two orbits."""
+    with pytest.raises(RuntimeError, match="conjugation orbits disagree with cycle structures"):
+        WreathGroup(misclassed_base(x, c), w)
 
 
 def test_a_self_compared_claim_holds_one_string():
@@ -496,6 +577,38 @@ def test_norm_check_survives_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert "does not have norm 1" in proc.stdout
+
+
+def test_orbit_and_label_checks_survive_optimized_mode():
+    """Both checks raise under -O: a label seen in two orbits (a misclassed
+    base element) and more labels than orbits (an extra map merging them)."""
+    code = textwrap.dedent(
+        """
+        from test_oracle import misclassed_base
+        from wreathdec import oracle
+        if __debug__:
+            raise SystemExit("not running under -O")
+        try:
+            oracle.WreathGroup(misclassed_base(1, 2), 2)
+        except RuntimeError as exc:
+            print(exc)
+        group = oracle.WreathGroup(oracle.base_group(3).G, 2)
+        steps = group._conjugates(group._generators())
+        steps[0].append(([(f + 1) % 36 * 2 for f in range(36)], 0))
+        group._conjugates = lambda generators: steps
+        try:
+            group._build_classes(group._generators())
+        except RuntimeError as exc:
+            print(exc)
+        """
+    )
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "conjugation orbits disagree with cycle structures\n" * 2
 
 
 def misstated_subgroup_block(p):

@@ -367,13 +367,16 @@ def test_every_generator_is_needed_for_the_orbit_check(kind):
 
 def test_orbits_coarser_than_the_labels_fail_the_orbit_check(monkeypatch):
     """A map that is not a conjugation merges classes, so one orbit holds
-    several cycle labels; the check must see that too."""
+    several cycle labels; the check must see that too.  The extra map sends
+    (f, sigma) to (f + 1, sigma), one more step at every perm rank."""
     group = WreathGroup(base_group(3).G, 2)
     conjugates = group._conjugates
+    nperms = len(group._perms)
+    nf = group.order // nperms
+    shift = [(f + 1) % nf * nperms for f in range(nf)]
 
     def merged(generators):
-        inner = conjugates(generators)
-        return lambda j: inner(j) + [(j + 1) % group.order]
+        return [step + [(shift, s)] for s, step in enumerate(conjugates(generators))]
 
     monkeypatch.setattr(group, "_conjugates", merged)
     with pytest.raises(RuntimeError, match="disagree"):
