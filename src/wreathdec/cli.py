@@ -19,11 +19,7 @@ import sys
 from math import comb
 
 from . import decomp, oracle
-from .partitions import (
-    format_partition,
-    generate_partitions,
-    is_odd_prime,
-)
+from .partitions import generate_partitions, is_odd_prime
 
 BLOCKS_GUARD = 40
 BLOCKS_PRIME_GUARD = 10**12  # bounds the trial division of the primality test
@@ -130,12 +126,19 @@ def _require_label_args(args, label_guard: int) -> None:
     _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
 
 
+def _formatter(n: int):
+    """format_partition, unchecked, for parts up to n: one table of part texts."""
+    digits = list(map(str, range(n + 1)))
+    return lambda lam: "[" + ",".join(map(digits.__getitem__, lam)) + "]"
+
+
 def _matrix_report(args, hlabels, matrix, **tail):
     """A matrix report, G-label columns and rows hlabels (the G-labels when None),
     one group per row of (col, value) pairs, every row nonempty (as is each K-row,
     and each Gram row at its diagonal): JSON [row, col, value] entries, one %
     format per row, or CSV label triples."""
-    parts = {lam: format_partition(lam) for n in range(args.w + 1) for lam in generate_partitions(n)}
+    fmt = _formatter(args.w)
+    parts = {lam: fmt(lam) for n in range(args.w + 1) for lam in generate_partitions(n)}
 
     def label_text(label):  # format_multipartition, each partition formatted once
         return "[" + ",".join([parts[c] for c in label]) + "]"
@@ -179,11 +182,12 @@ def _require_block_args(args) -> None:
 
 def cmd_basicset(args) -> int:
     _require_block_args(args)
+    fmt = _formatter(args.n)
 
     def groups():  # one group of records per block, its core formatted once
         for (core, weight), members in decomp.blocks(args.n, args.p).items():
-            core = format_partition(core)
-            yield [(format_partition(lam), core, weight, basic) for lam, basic in members]
+            core = fmt(core)
+            yield [(fmt(lam), core, weight, basic) for lam, basic in members]
 
     _emit(args, lambda: _chunks(
         args, ["partition", "core", "weight", "basic"], {"n": args.n, "p": args.p, "partitions": []},
@@ -195,10 +199,11 @@ def cmd_basicset(args) -> int:
 
 def cmd_blocks(args) -> int:
     _require_block_args(args)
+    fmt = _formatter(args.n)
 
     def groups():
         for (core, weight), members in decomp.block_partition(args.n, args.p).items():
-            yield format_partition(core), weight, list(map(format_partition, members))
+            yield fmt(core), weight, list(map(fmt, members))
 
     _emit(args, lambda: _chunks(
         args, ["core", "weight", "partition"], {"n": args.n, "p": args.p, "blocks": []}, groups(),

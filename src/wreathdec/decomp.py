@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import factorial
+from operator import getitem
 from types import MappingProxyType
 from typing import Mapping
 
@@ -220,52 +221,69 @@ def gram_determinant(p: int, w: int) -> int:
 
 def blocks(n: int, p: int) -> dict[tuple[Partition, int], list[tuple[Partition, bool]]]:
     """Partitions of n grouped by block (core, weight), each paired with its
-    basic-set flag, from one abacus per partition (_abacus); blocks in order of
-    their first member, members in generate_partitions order."""
-    _require_odd_prime(p)
+    basic-set flag, a view of _walk; blocks in order of their first member,
+    members in generate_partitions order."""
     out: dict[tuple[Partition, int], list[tuple[Partition, bool]]] = {}
-    seen: dict[tuple[int, ...], tuple[Partition, int]] = {}
-    for lam in generate_partitions(n):
-        key, basic = _abacus(lam, p, seen)
+    for lam, key, basic in _walk(n, p):
         out.setdefault(key, []).append((lam, basic))
     return out
 
 
-def _abacus(lam: Partition, p: int, seen: dict) -> tuple[tuple[Partition, int], bool]:
-    """The block (core, weight) of lam, and whether its slot-r quotient is empty.
+def _bead_table(n: int, p: int):
+    """(steps, base, width): the partitions of n on L0 beads, L0 the least
+    multiple of p >= n, bead j at lam[j] + L0 - 1 - j.  A packed state holds,
+    in fields of `width` bits, the level sum S_r of runner r and then the bead
+    count of each runner; lam's is base, the empty partition's, plus
+    steps[j][lam[j]], the change as bead j moves up, over its parts.  Each
+    partial sum places distinct beads, every field a sum of nonnegative
+    per-bead terms below 2^width, so no field borrows from its neighbour."""
+    top, mid = n - 1 + (-n) % p, r_slot(p)  # L0 - 1
+    m = (top + n) // p + 1  # positions per runner: at most m beads, S_r < m^2 / 2
+    width = (m * m).bit_length()
+    bead = [(1 << width * (b % p + 1)) + (b // p if b % p == mid else 0)
+            for b in range(top + n + 1)]  # one bead at b
+    steps = [[bead[top - j + x] - bead[top - j] for x in range(n // (j + 1) + 1)] for j in range(n)]
+    return steps, sum(bead[: top + 1]), width
 
-    A p above lam's first hook lam[0] + len(lam) - 1, which bounds every hook,
-    leaves lam with no p-hook: it is its own core, of weight 0, with an empty
-    quotient, so it is basic and no bead is placed (nor for the empty
-    partition).  Runners are only built when p <= first hook <= |lam|.  The
-    core depends only on the bead count of each runner, and so, among
-    partitions of one size, does the weight (|lam| = |core| + p * weight):
-    `seen` maps count vectors to their block, so it must serve partitions of
-    one n and one p only.  A block of weight 0 is not stored: its one member
-    is its core, so no other partition of n has its counts.
-    """
-    if not lam or p > lam[0] + len(lam) - 1:
-        return (lam, 0), True
-    runners = _runners(lam, p)
-    counts = tuple(map(len, runners))
-    key = seen.get(counts)
-    if key is None:
-        key = _core_and_weight(runners, p, sum(lam))
-        if key[1]:  # positive weight
-            seen[counts] = key
-    run = runners[r_slot(p)]  # slot r is empty when its c beads fill levels 0..c-1
-    return key, not run or run[0] == len(run) - 1
+
+def _walk(n: int, p: int):
+    """(lam, (core, weight), basic) for each partition of n, in order.  A p
+    above lam's first hook lam[0] + len(lam) - 1 leaves lam its own basic core
+    of weight 0, and p > n builds no table.  Otherwise the block depends only
+    on the bead counts, one memo key per block, and basic, an empty slot-r
+    quotient, is S_r == c_r(c_r-1)/2, which p more beads leave unchanged.
+    Each miss checks the counts, less (L0 - L)/p, and the flag against the
+    L beads of _runners, and raises if they differ."""
+    _require_odd_prime(p)
+    parts = generate_partitions(n)
+    if p > n:
+        yield from ((lam, (lam, 0), True) for lam in parts)
+        return
+    steps, base, width = _bead_table(n, p)
+    beads, mid, mask, seen = n + (-n) % p, r_slot(p), (1 << width) - 1, {}
+    for lam in parts:
+        if p > lam[0] + len(lam) - 1:
+            yield lam, (lam, 0), True
+            continue
+        state = sum(map(getitem, steps, lam), base)
+        entry = seen.get(state >> width)
+        if entry is None:
+            runners, c = _runners(lam, p), state >> width * (mid + 1) & mask
+            extra, run = (beads - sum(map(len, runners))) // p, runners[mid]
+            if (state >> width != sum(len(r) + extra << width * q for q, r in enumerate(runners))
+                    or (state & mask == c * (c - 1) // 2) != (not run or run[0] == len(run) - 1)):
+                raise RuntimeError(f"bead table disagrees with the abacus of {lam} at p={p}")
+            entry = seen[state >> width] = _core_and_weight(runners, p, n), c * (c - 1) // 2
+        key, target = entry
+        yield lam, key, state & mask == target
 
 
 def basic_set(n: int, p: int) -> list[Partition]:
     """Partitions of n flagged basic as in blocks(), in generate_partitions
-    order: a view of _abacus, with a count-vector memo local to the call.
-    Their count equals the number of partitions of n with no part divisible
-    by p, i.e. the number of classes of the symmetric group of order coprime
-    to p."""
-    _require_odd_prime(p)
-    seen: dict = {}
-    return [lam for lam in generate_partitions(n) if _abacus(lam, p, seen)[1]]
+    order: a view of _walk.  Their count equals the number of partitions of n
+    with no part divisible by p, i.e. the number of classes of the symmetric
+    group of order coprime to p."""
+    return [lam for lam, _, basic in _walk(n, p) if basic]
 
 
 def block_partition(n: int, p: int) -> dict[tuple[Partition, int], list[Partition]]:

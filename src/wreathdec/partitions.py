@@ -281,11 +281,15 @@ def hat(alpha: MultiPartition, p: int) -> MultiPartition:
 
 
 def format_partition(lam: Partition) -> str:
-    return "[" + ",".join(str(x) for x in lam) + "]"
+    """The text "[3,1,1]" of (3, 1, 1); refuses what check_partition refuses."""
+    return "[" + ",".join(map(str, check_partition(lam))) + "]"
 
 
 def format_multipartition(mp: MultiPartition) -> str:
-    return "[" + ",".join(format_partition(c) for c in mp) + "]"
+    """The text "[[2],[1,1],[]]" of ((2,), (1, 1), ()), each part checked."""
+    if isinstance(mp, str) or not isinstance(mp, Iterable):
+        raise ValueError(f"a multipartition must be an iterable of partitions: {mp!r}")
+    return "[" + ",".join(map(format_partition, mp)) + "]"
 
 
 def parse_partition(text: str) -> Partition:

@@ -3,15 +3,23 @@ copies of the references they replaced: the recursive generator, and
 p_core_and_quotient built on the validating beta-set strip (one call per
 quotient runner and one for the core).  blocks and basic_set are checked
 against a block grouping built from the frozen abacus, several n and p in one
-process, so a count-vector memo that outlived its call would show."""
+process, so a count-vector memo that outlived its call would show.  The
+additive bead table behind them is checked field by field against _runners."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from functools import cache
+from operator import getitem
+from pathlib import Path
 
 import pytest
 
+from wreathdec import decomp
 from wreathdec.decomp import basic_set, block_partition, blocks, r_slot
-from wreathdec.partitions import generate_partitions, p_core_and_quotient
+from wreathdec.partitions import _runners, generate_partitions, p_core_and_quotient
 
 
 def frozen_partitions_bounded(n, largest):
@@ -94,22 +102,108 @@ def test_blocks_and_basic_set_match_frozen_abacus(p):
 
 @pytest.mark.parametrize("p", [13, 17, 19, 23, 29, 31, 37, 41])
 def test_blocks_and_basic_set_match_frozen_abacus_across_the_first_hook(p):
-    # _abacus places no bead when p exceeds lam's first hook lam[0] + len(lam) - 1,
+    # _walk places no bead when p exceeds lam's first hook lam[0] + len(lam) - 1,
     # which is at most n: from n = p on, partitions lie on both sides of it
     for n in range(25):
         assert_blocks_match_frozen(n, p)
 
 
-def test_blocks_at_large_p_allocate_no_runners():
-    # one runner list per partition at p = 100003 would take several MB
-    for build in (blocks, basic_set):
+def test_blocks_at_large_p_allocate_no_runners(monkeypatch):
+    # p > n builds neither a bead table nor runners; a table at p = 100003
+    # would hold p + 1 fields per entry, several MB
+    def refuse(*args):
+        raise AssertionError(f"abacus built for {args}")
+
+    monkeypatch.setattr(decomp, "_bead_table", refuse)
+    monkeypatch.setattr(decomp, "_runners", refuse)
+    assert list(blocks(40, 41).items()) == [
+        ((lam, 0), [(lam, True)]) for lam in generate_partitions(40)]
+    for build, n in [(blocks, 3), (basic_set, 3), (basic_set, 40)]:
+        generate_partitions(n)
         tracemalloc.start()
         try:
-            build(3, 100003)
+            build(n, 100003)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000, (build.__name__, peak)
+        assert peak < 1_000_000, (build.__name__, n, peak)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_bead_table_matches_runners_and_quotient(p):
+    # the table holds L0 = the least multiple of p >= n beads, _runners
+    # L >= len(lam): (L0 - L) / p more on every runner
+    mid = r_slot(p)
+    for n in range(1, 31):
+        steps, base, width = decomp._bead_table(n, p)
+        mask, beads = (1 << width) - 1, n + (-n) % p
+        for lam in generate_partitions(n):
+            state = sum(map(getitem, steps, lam), base)
+            counts = [state >> width * (q + 1) & mask for q in range(p)]
+            runners = _runners(lam, p)
+            shift = (beads - sum(map(len, runners))) // p
+            assert counts == [len(run) + shift for run in runners], (n, lam)
+            c = counts[mid]
+            empty = p_core_and_quotient(lam, p).quotient[mid] == ()
+            assert (state & mask == c * (c - 1) // 2) == empty, (n, lam)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_blocks_and_basic_set_match_frozen_abacus_at_the_benchmark_sizes(p):
+    assert_blocks_match_frozen(40, p)
+
+
+def corrupt_top_bead(steps):  # (n,) lands on the runner of n - 1 places up
+    steps[0][-1] = steps[0][-2]
+
+
+def shift_top_bead_level_sum(steps):  # (10,) at p = 3 is basic: S_r one too many
+    steps[0][-1] += 1
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_top_bead, shift_top_bead_level_sum])
+@pytest.mark.parametrize("build", [blocks, basic_set])
+def test_a_wrong_bead_table_entry_fails_the_runner_check(build, corrupt, monkeypatch):
+    table = decomp._bead_table
+
+    def wrong(n, p):
+        steps, base, width = table(n, p)
+        corrupt(steps)
+        return steps, base, width
+
+    monkeypatch.setattr(decomp, "_bead_table", wrong)
+    with pytest.raises(RuntimeError, match="disagrees with the abacus of"):
+        build(10, 3)
+
+
+def test_the_runner_check_survives_optimized_mode():
+    code = textwrap.dedent(
+        """
+        from wreathdec import decomp
+        if __debug__:
+            raise SystemExit("not running under -O")
+        table = decomp._bead_table
+
+        def wrong(n, p):
+            steps, base, width = table(n, p)
+            steps[0][-1] += 1
+            return steps, base, width
+
+        decomp._bead_table = wrong
+        for build in (decomp.blocks, decomp.basic_set):
+            try:
+                build(10, 3)
+            except RuntimeError as exc:
+                print(exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "bead table disagrees with the abacus of (10,) at p=3\n" * 2
 
 
 def test_blocks_alternating_p_and_n_match_frozen_abacus():

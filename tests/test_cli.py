@@ -232,6 +232,11 @@ ABACUS_DIGESTS = {
     ("blocks", "3", "40", "csv"): "78e870693a24478dc905739d73bcf955b8cf25123fae061cf50dc656a9605f5b",
     ("basicset", "7", "40", "json"): "df857d5dbc4baede6d36932690db625d91cdcae915b83342736eb96e4b3c21e0",
     ("basicset", "7", "40", "csv"): "c4903aa85a6d0558a656cf0ae04e4a24b1803d6cd4e8f4729943d227e97e46af",
+    # the other command at each benchmark prime, recorded before the bead table
+    ("blocks", "7", "40", "json"): "acdfe3f11d18d2e40fc99210e2747cd6ac9978224131c7896f6c20733709d89f",
+    ("blocks", "7", "40", "csv"): "7251c2f8aded396539a258372ea236527da26eae9fe615ceae715db95037d5da",
+    ("basicset", "3", "40", "json"): "ffdb12047278620ececf50ec7b88c65bf97818cbacbe8049486cc887504fc701",
+    ("basicset", "3", "40", "csv"): "0638ac4156606ebe68b45f3a36d75103b0e2c9bf7521dd7f342959e3697ba177",
     ("basicset", "13", "20", "json"): "6929d5d209c50e82de278d0c1c10c3da3272d42b6f537e5dafda68852a6d68c5",
     ("basicset", "13", "20", "csv"): "9e10b2058e2b50a0776cce63b71e65022fd35552b8456d8fba064f140076e459",
     ("blocks", "5", "25", "json"): "4856296487483ce6d6cf5338585c87f23a3e55db3c90aa7cd849c9a2598be7a8",
@@ -351,9 +356,13 @@ def test_matrix_formats_carry_the_same_entries(command, p, w, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["kmatrix", "gram"])
 def test_matrix_labels_format_each_partition_once(command, monkeypatch, capsys):
-    seen = []
-    monkeypatch.setattr(
-        cli, "format_partition", lambda lam: seen.append(lam) or format_partition(lam))
+    seen, formatter = [], cli._formatter
+
+    def recording(n):
+        fmt = formatter(n)
+        return lambda lam: seen.append(lam) or fmt(lam)
+
+    monkeypatch.setattr(cli, "_formatter", recording)
     payload = run_json(capsys, command, "--p", "5", "--w", "3")
     assert sorted(seen) == sorted(lam for n in range(4) for lam in generate_partitions(n))
     assert payload["cols"] == [format_multipartition(g) for g in decomp.glabels(5, 3)]

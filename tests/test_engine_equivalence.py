@@ -24,7 +24,9 @@ from wreathdec.lr import iterated_lr, lr_coefficient, schur_product
 from wreathdec.partitions import generate_partitions
 
 
-def frozen_iterated_lr(target, factors):
+def frozen_fold(factors):
+    """{mu: coefficient} of the product of the Schur functions of factors,
+    folded one factor at a time through lr_coefficient."""
     state = {(): 1}
     size = 0
     for phi in factors:
@@ -35,7 +37,7 @@ def frozen_iterated_lr(target, factors):
             if m:
                 new[mu] = m
         state = new
-    return state.get(target, 0)
+    return state
 
 
 def frozen_k(alpha, gamma, p):
@@ -60,7 +62,7 @@ def frozen_k(alpha, gamma, p):
         coeff = 1
         for _, c in combo:
             coeff *= c
-        total += coeff * frozen_iterated_lr(gamma_r, [b for b, _ in combo])
+        total += coeff * frozen_fold([b for b, _ in combo]).get(gamma_r, 0)
     return total
 
 
@@ -112,9 +114,7 @@ def test_engine_matches_frozen_per_pair_formula(case):
                 max_size=4))
 def test_schur_product_matches_fold_per_target(factors):
     size = sum(map(sum, factors))
-    expected = {
-        mu: m for mu in generate_partitions(size) if (m := frozen_iterated_lr(mu, factors))
-    }
+    expected = frozen_fold(factors)  # one fold per example, every target read off it
     assert schur_product(factors) == expected
     for mu in generate_partitions(size):
         assert iterated_lr(mu, factors) == expected.get(mu, 0)

@@ -232,6 +232,24 @@ def test_text_format():
         parse_partition('["a"]')
 
 
+@pytest.mark.parametrize("bad", [(3, -1), (1, 2), (2, 0), "ab", (1.0,), (True,), 3, None])
+def test_format_partition_refuses_what_is_not_a_partition(bad):
+    with pytest.raises(ValueError):
+        format_partition(bad)
+
+
+@pytest.mark.parametrize("bad", [((1,), "x"), ((3, -1),), ((1, 2), ()), "ab", 5, None])
+def test_format_multipartition_refuses_what_is_not_a_multipartition(bad):
+    with pytest.raises(ValueError):
+        format_multipartition(bad)
+
+
+def test_text_format_takes_any_iterable_of_partitions():
+    assert format_partition([3, 1]) == "[3,1]"
+    assert format_multipartition([[2], (1, 1), []]) == "[[2],[1,1],[]]"
+    assert format_multipartition(iter([(1,)])) == "[[1]]"
+
+
 @given(partition_st)
 def test_text_format_round_trip(lam):
     assert parse_partition(format_partition(lam)) == lam
