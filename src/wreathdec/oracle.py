@@ -4,9 +4,10 @@ Everything the label-level engine computes by formula is recomputed here the
 hard way: the base groups are materialized as explicit element tables, the
 wreath products as explicit element sets numbered by int ids, conjugacy
 classes are conjugation orbits closed under a generating set (checked against
-cycle labels), induced characters are class sums over y in c ∩ K, the
-inducing subgroup K enumerated from its blocks, and every multiplicity is an
-exact inner product of class functions.  Every character value is a monomial
+cycle labels), induced characters are class sums over y in c ∩ K, taken one
+class of the inducing subgroup K at a time (K is a direct product of wreath
+products built the same way), and every multiplicity is an exact inner
+product of class functions.  Every character value is a monomial
 c * z^k, so class sums and inner products are taken in the group ring of the
 cyclic group of order p - 1 and reduced once, to one row of ints per class:
 the value's coordinates in the power basis of the cyclotomic field.
@@ -19,7 +20,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations, repeat
-from math import prod
 from typing import NamedTuple, Optional
 
 from . import decomp
@@ -227,7 +227,7 @@ def _monomial(table, coef: int, prods) -> tuple[int, int]:
     with a symmetric-group character: `coef`, that character's value at sigma,
     times the base values at `prods`, the products of f along sigma's cycles,
     which the caller computes once (`_cycle_product_ids`).  `table` lists the
-    base character's monomials by element number (None off its domain)."""
+    base character's monomials by element number."""
     exp = 0
     for x in prods:
         c, e = table[x]
@@ -389,9 +389,10 @@ def _cycle_classes(base: BaseGroup, w: int, cyc: tuple[int, ...]) -> bytes:
 
 
 @cache
-def _wreath_cached(p: int, w: int, kind: str) -> WreathGroup:
-    pair = base_group(p)
-    return WreathGroup(pair.G if kind == "G" else pair.H, w)
+def _wreath_cached(base: BaseGroup, w: int) -> WreathGroup:
+    """The wreath product of `base` on w letters, built once per base object:
+    `wreath_group` and the block factors of `induce` share it."""
+    return WreathGroup(base, w)
 
 
 def _check_weight_and_guard(w, guard) -> None:
@@ -410,18 +411,17 @@ def wreath_group(
     if kind not in ("G", "H"):
         raise ValueError("kind must be 'G' or 'H'")
     _check_weight_and_guard(w, guard)
-    base_group(p)  # validates p
+    base = getattr(base_group(p), kind)  # validates p
     limit = DEFAULT_GUARD if guard is None else guard
-    base_size = p * (p - 1) if kind == "G" else p - 1
     order = 1
-    for factor in chain(repeat(base_size, w), range(2, w + 1)):
+    for factor in chain(repeat(len(base.elements), w), range(2, w + 1)):
         if order > limit:
             break
         order *= factor
     if order > limit:
         raise GuardError(f"{kind}-wreath product for p={p}, w={w} exceeds the element "
                          f"guard of {limit}")
-    return _wreath_cached(p, w, kind)
+    return _wreath_cached(base, w)
 
 
 def conjugacy_classes(group: WreathGroup) -> list[ClassData]:
@@ -466,31 +466,31 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     return Cyclotomic(m, total).as_rational() / a.group.order
 
 
-def _block_entries(group: WreathGroup, start: int, size: int, table, lam: Partition) -> list:
-    """One (id part, coef, exp) per element of one block's factor of the
-    block subgroup K: every coordinate start..start+size-1 ranges over the
-    table's domain and the block's letters are permuted among themselves.
-    Both the f-rank and the perm rank of an element of K are sums over its
-    blocks (a block's Lehmer digits count only its own letters), so the id of
-    an element of K is the sum of its blocks' id parts, and its value the
-    product of their monomials.  A block's perm part is the rank of its
-    permutation, which fixes every letter outside the block."""
-    base, w, nperms = group.base, group.w, len(group._perms)
-    n, m, mul = len(base.elements), base.value_order, base.mul_table
-    domain = [x for x, v in enumerate(table) if v is not None]
-    f_parts = [(0, ())]
-    for t in range(start, start + size):
-        weight = n ** (w - 1 - t) * nperms
-        f_parts = [(v + x * weight, f + (x,)) for v, f in f_parts for x in domain]
-    head, tail = tuple(range(start)), tuple(range(start + size, w))
+def _block_entries(group: WreathGroup, start: int, factor: WreathGroup, table,
+                   lam: Partition) -> list:
+    """One (id part, class size * coef, exp) per class of one block's factor
+    of the block subgroup K, at the class's representative.  The factor is
+    the wreath product on the letters start..start+factor.w-1, its base
+    numbered as the group's base (H's element b is G's number b), and `table`
+    lists its base character by those numbers.  Both the f-rank and the perm
+    rank of an element of K are sums over its blocks (a block's Lehmer digits
+    count only its own letters), so the id of an element of K is the sum of
+    its blocks' id parts, its value the product of their monomials and the
+    size of its K-class the product of their class sizes.  A block's perm
+    part is the rank of its permutation, which fixes every letter outside
+    the block."""
+    w, nperms, n = group.w, len(group._perms), len(group.base.elements)
+    m, mul = group.base.value_order, factor.base.mul_table
+    head, tail = tuple(range(start)), tuple(range(start + factor.w, w))
     entries = []
-    for sigma in permutations(range(size)):
-        perm_part = group._perm_rank[head + tuple(start + s for s in sigma) + tail]
+    for j, size in zip(factor._rep_ids, factor.class_sizes):
+        f, sigma = factor._split(j)
         cycles, ctype = perm_cycles(sigma)
-        value = mn_value(lam, ctype)
-        for v, f in f_parts:
-            c, e = _monomial(table, value, _cycle_product_ids(mul, f, cycles)) if value else (0, 0)
-            entries.append((v + perm_part, c, e % m))
+        value = size * mn_value(lam, ctype)
+        c, e = _monomial(table, value, _cycle_product_ids(mul, f, cycles)) if value else (0, 0)
+        f_part = sum(x * n ** (w - 1 - start - t) for t, x in enumerate(f)) * nperms
+        perm_part = group._perm_rank[head + tuple(start + s for s in sigma) + tail]
+        entries.append((f_part + perm_part, c, e % m))
     return entries
 
 
@@ -498,25 +498,24 @@ def induce(group: WreathGroup, blocks) -> ClassFunction:
     """Induction of the block character from the block subgroup K by class
     sums: the value on a class c is |G| / (|K| |c|) times the sum of the
     block character over c ∩ K, since conjugating by all of G hits each
-    member of c |G| / |c| times.  K is enumerated from the blocks (start,
-    size, monomial table, lam): in each, every coordinate ranges over the
-    table's domain and the letters are permuted among themselves.  The class
-    sums are taken in the group ring of the order-m cyclic group, one int per
-    power of the root, and reduced to the field once per class.  Induced
-    values are algebraic integers, so a remainder in the scaling means K or a
-    class was enumerated wrongly."""
+    member of c |G| / |c| times.  K is the direct product of the factors of
+    the blocks (start, factor, monomial table, lam), so c ∩ K is a union of
+    K-classes and its sum is taken one K-class at a time: the class size
+    times the value at its representative (James and Kerber, 1981, ch. 4).
+    With no blocks K is trivial.  The class sums are taken in the group ring
+    of the order-m cyclic group, one int per power of the root, and reduced
+    to the field once per class.  Induced values are algebraic integers, so
+    a remainder in the scaling means a factor or its classes were misstated."""
     m = group.base.value_order
-    per_block = [_block_entries(group, *block) for block in blocks]
-    sub_order = prod(map(len, per_block))
-    *head, last = [[entry for entry in entries if entry[1]] for entries in per_block]
-    partial = [(0, 1, 0)]
-    for entries in head:
+    sub_order, partial = 1, [(0, 1, 0)]
+    for start, factor, table, lam in blocks:
+        entries = [entry for entry in _block_entries(group, start, factor, table, lam) if entry[1]]
         partial = [(i + j, c * d, (e + k) % m) for i, c, e in partial for j, d, k in entries]
+        sub_order *= factor.order
     cls = group.class_of_index
     sums = [[0] * m for _ in group.class_reps]
     for i, c, e in partial:
-        for j, d, k in last:
-            sums[cls[i + j]][(e + k) % m] += c * d
+        sums[cls[i]][e] += c
     rows = [[divmod(x * group.order, sub_order * size) for x in Cyclotomic(m, row).coeffs]
             for row, size in zip(sums, group.class_sizes)]
     if any(r for row in rows for _, r in row):
@@ -537,10 +536,10 @@ def _check_label(label, slots: int) -> None:
 def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFunction:
     """Irreducible character attached to a tuple of partitions, one per base
     character slot: the block-wise extension tensored with symmetric-group
-    characters, induced up from the block-product subgroup.  With at most one
-    block that subgroup is the whole group, so the block character is
-    evaluated directly on class representatives (at w = 0, the trivial table
-    with the empty partition).  The norm is checked here, once: it must be 1."""
+    characters, induced up from the block subgroup: one block per nonempty
+    slot, its factor the wreath product of the group's base on the slot's
+    letters.  With one block the factor is the whole group, and at w = 0
+    there is none.  The norm is checked here, once: it must be 1."""
     if not isinstance(group, WreathGroup):
         raise ValueError(f"group must be a WreathGroup, got {group!r}")
     _check_label(label, len(group.base.monomials))
@@ -548,24 +547,13 @@ def parametrized_character(group: WreathGroup, label: MultiPartition) -> ClassFu
         raise ValueError(f"label size must be {group.w}")
     if label in group._char_cache:
         return group._char_cache[label]
-    blocks = []
-    start = 0
+    blocks, start = [], 0
     for slot, lam in enumerate(label):
-        size = sum(lam)
-        if size:
-            blocks.append((start, size, group.base.monomials[slot], lam))
-            start += size
-    if len(blocks) > 1:
-        chi = induce(group, blocks)
-    else:
-        m, mul = group.base.value_order, group.base.mul_table
-        _, _, table, lam = blocks[0] if blocks else (0, 0, group.base.monomials[0], ())
-        rows = []
-        for f, sigma in map(group._split, group._rep_ids):
-            cycles, ctype = perm_cycles(sigma)
-            value = _monomial(table, mn_value(lam, ctype), _cycle_product_ids(mul, f, cycles))
-            rows.append(_cyclotomic(m, *value).coeffs)
-        chi = ClassFunction(group, rows)
+        if lam:
+            factor = _wreath_cached(group.base, sum(lam))
+            blocks.append((start, factor, group.base.monomials[slot], lam))
+            start += factor.w
+    chi = induce(group, blocks)
     if inner_product(chi, chi) != 1:
         raise RuntimeError(f"character {label} does not have norm 1")
     group._char_cache[label] = chi
@@ -616,15 +604,13 @@ def oracle_restriction(
 
 def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
     """Induction of (i-th linear extension) x (alpha) from the small wreath
-    product, embedded coordinate-wise, up to the big one on the same letters.
-    The i-th linear complement character, listed on H's numbers, which are
-    G's first m, is padded with None over the rest of G, so its domain makes
-    the block subgroup the small wreath product.  Kept on the group, so each
-    is built once while the group lives."""
+    product, embedded coordinate-wise, up to the big one on the same letters:
+    one block, whose factor is the small wreath product and whose table is
+    the i-th linear complement character on H's numbers, which are G's first
+    m.  Kept on the group, so each is built once while the group lives."""
     if (i, alpha) not in gw._induced_cache:
-        table = pair.H.monomials[pair.islots.index(i)]
-        theta = list(table) + [None] * (len(pair.G.elements) - len(table))
-        gw._induced_cache[i, alpha] = induce(gw, [(0, gw.w, theta, alpha)])
+        block = (0, _wreath_cached(pair.H, gw.w), pair.H.monomials[pair.islots.index(i)], alpha)
+        gw._induced_cache[i, alpha] = induce(gw, [block])
     return gw._induced_cache[i, alpha]
 
 

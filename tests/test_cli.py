@@ -206,6 +206,9 @@ VERIFY_DIGESTS = {
     ("11", "2", "json"): "76e7f44b5f7e7118ad62a040ceb75c7e49d1fe22c520af304acb26f10f428274",
     # phi(p - 1) < p - 1: the values are reduced modulo Phi_(p-1)
     ("7", "2", "json"): "474742b89f40d47b4d3a355b9a1b5ff3966ec168aa6a8d2638a361dccf2c2eae",
+    # recorded before induction summed over the classes of K: three blocks
+    # at m = 6
+    ("7", "3", "json"): "1990103929275a0e77727342da95baf622e73215ede73fda54a53bae0585e5a3",
     ("13", "1", "json"): "d3dbb3caf11dd1bc9906a62951a454029290494d8456e97bac95eb788a073c83",
     ("17", "1", "json"): "b1a32e466bf9ecbb35d9239c0cb5cb34d3a48ea21c5a07918edbac47644a0e67",
     # recorded before every report was written chunk by chunk: the skip

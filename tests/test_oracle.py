@@ -243,6 +243,40 @@ def patched_tilde_claims(monkeypatch, p, w, kind, table, number, monomial):
     return [(c.claim, c.params.get("slot"), c.status) for c in claims]
 
 
+def test_characters_induce_from_factors_on_the_group_base(monkeypatch):
+    """On a base pair whose G is a copy of the real one, every block factor
+    of `parametrized_character` is a wreath product of that copy, the
+    one-block factor is the group itself, and the characters are the real
+    ones."""
+    pair = base_group(3)
+    G = pair.G
+    copy = BaseGroup("G", G.elements, G.mul_table, G.inv_table, G.value_order, G.generators,
+                     G.monomials)
+    factors = []
+    real_induce = oracle.induce
+
+    def recording(group, blocks):
+        factors.extend(factor for _, factor, *_ in blocks)
+        return real_induce(group, blocks)
+
+    real = wreath_group(3, 2, "G")
+    expected = {label: parametrized_character(real, label).rows
+                for label in generate_multipartitions(2, 3)}
+    monkeypatch.setattr(oracle, "base_group", lambda q: pair._replace(G=copy))
+    monkeypatch.setattr(oracle, "induce", recording)
+    try:
+        gw = wreath_group(3, 2, "G")
+        assert gw.base is copy
+        for label, rows in expected.items():
+            factors.clear()
+            assert parametrized_character(gw, label).rows == rows
+            assert factors and all(factor.base is copy for factor in factors)
+            assert [factor.w for factor in factors] == [sum(lam) for lam in label if lam]
+            assert len(factors) > 1 or factors[0] is gw
+    finally:
+        oracle._wreath_cached.cache_clear()  # no group on the copy outlives the test
+
+
 @pytest.mark.parametrize("p,w", [(3, 2), (5, 2), (7, 1)])
 def test_a_wrong_complement_value_fails_exactly_its_slot(p, w, monkeypatch):
     """One H-table monomial of slot i, moved by a power of z, fails slot i's
@@ -611,31 +645,31 @@ def test_orbit_and_label_checks_survive_optimized_mode():
     assert proc.stdout == "conjugation orbits disagree with cycle structures\n" * 2
 
 
-def misstated_subgroup_block(p):
-    """A one-letter block whose table's domain is the identity and the
-    number m = p - 1, the element (1, 0) of order p: two elements that do not
-    form a subgroup, so the class of (1, 0) gets |G| / (|K| |c|) = p / 2
-    times an int."""
-    table = [None] * (p * (p - 1))
-    table[0], table[p - 1] = (1, 0), (1, 1)
-    return [(0, 1, table, (1,))]
+def misstated_factor_block(p):
+    """A one-letter block whose factor's base is the cyclic group of order 3
+    on the numbers 0, 1 and 2, which in G are the identity, (0, 1) and one
+    more element: three elements that do not form a subgroup, so the class
+    of (0, 1), of size p, gets |G| / (|K| |c|) = (p - 1) / 3 times an int."""
+    mul = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    c3 = BaseGroup("C3", range(3), mul, [0, 2, 1], p - 1, [1])
+    return [(0, WreathGroup(c3, 1), [(1, 0)] * 3, (1,))]
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_induce_raises_on_a_remainder(p):
     with pytest.raises(RuntimeError, match="not an algebraic integer"):
-        induce(wreath_group(p, 1, "G"), misstated_subgroup_block(p))
+        induce(wreath_group(p, 1, "G"), misstated_factor_block(p))
 
 
 def test_exact_division_check_survives_optimized_mode():
     code = textwrap.dedent(
         """
-        from test_oracle import misstated_subgroup_block
+        from test_oracle import misstated_factor_block
         from wreathdec import oracle
         if __debug__:
             raise SystemExit("not running under -O")
         try:
-            oracle.induce(oracle.wreath_group(3, 1, "G"), misstated_subgroup_block(3))
+            oracle.induce(oracle.wreath_group(3, 1, "G"), misstated_factor_block(3))
         except RuntimeError as exc:
             print(exc)
         """

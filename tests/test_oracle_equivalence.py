@@ -5,8 +5,9 @@ class is found by conjugating its representative by every group element,
 which also gives one conjugation row per class, and induction averages the
 zero-extended subgroup character (None off the subgroup K, whose order is
 passed by hand) over each whole row.  The oracle now closes orbits under a
-generating set and induces by summing over the members of each class that
-lie in K, enumerated from the blocks, so the two must agree exactly.
+generating set and induces by summing over each class's members in K one
+K-class at a time, K the direct product of the blocks' factor groups, so the
+two must agree exactly.
 
 The Mackey claims once induced their right-hand sides block by block, the
 heavy block (slot r) first; they now read the irreducible of the split
@@ -22,8 +23,9 @@ and class functions as int rows of power-basis coordinates; the base
 groups' law on element names, the element tuples, their group law and
 encoding, the cyclotomic base tables and the cyclotomic class-function
 values come from `frozen_wreath`.  The blocks below carry each base table
-in both forms: the cyclotomic one for the frozen references, the monomial
-one for the oracle.
+in both forms: the cyclotomic one, keyed by G's elements, for the frozen
+references, and the monomial one, by the numbers of the factor's base, for
+the oracle.
 """
 
 import gc
@@ -55,6 +57,7 @@ from wreathdec.oracle import (
     WreathGroup,
     _block_entries,
     _cyclotomic,
+    _wreath_cached,
     _split_label,
     base_group,
     induce,
@@ -164,8 +167,10 @@ def frozen_tilde_value(base, base_values, lam, f, sigma):
 
 
 def oracle_blocks(blocks):
-    """The blocks as the oracle takes them, with monomial tables."""
-    return [(start, size, mono, lam) for start, size, _, mono, lam in blocks]
+    """The blocks as the oracle takes them: the factor group on the block's
+    letters over the block's base, and the base's monomial table."""
+    return [(start, _wreath_cached(base, size), mono, lam)
+            for start, size, _, base, mono, lam in blocks]
 
 
 def frozen_block_chi0(group, blocks):
@@ -175,7 +180,7 @@ def frozen_block_chi0(group, blocks):
     def chi0(elem):
         f, sigma = elem
         val = 1
-        for start, size, base_values, _, lam in blocks:
+        for start, size, base_values, *_, lam in blocks:
             if any(not start <= sigma[start + i] < start + size for i in range(size)):
                 return None
             sub_sigma = tuple(sigma[start + i] - start for i in range(size))
@@ -277,34 +282,39 @@ def test_wrong_base_classes_fail_the_orbit_check(kept, monkeypatch):
         oracle._wreath_cached.cache_clear()
 
 
-def multi_block_characters(group):
-    """(blocks, subgroup order) of every label with two or more nonempty
-    slots, built as `parametrized_character` builds them."""
+def label_characters(group):
+    """(label, blocks, subgroup order) of every label, built as
+    `parametrized_character` builds them: one block per nonempty slot."""
     base = group.base
     irr = frozen_irr(base)
     for label in generate_multipartitions(group.w, len(base.monomials)):
         blocks, start = [], 0
         for slot, lam in enumerate(label):
             if lam:
-                blocks.append((start, sum(lam), irr[slot], base.monomials[slot], lam))
+                blocks.append((start, sum(lam), irr[slot], base, base.monomials[slot], lam))
                 start += sum(lam)
+        order = len(group.base.elements) ** group.w
+        for _, size, *_ in blocks:
+            order *= factorial(size)
+        yield label, blocks, order
+
+
+def multi_block_characters(group):
+    """(blocks, subgroup order) of every label with two or more nonempty slots."""
+    for _, blocks, order in label_characters(group):
         if len(blocks) >= 2:
-            order = len(group.base.elements) ** group.w
-            for _, size, *_ in blocks:
-                order *= factorial(size)
             yield blocks, order
 
 
 def linear_induction(p, k, i, alpha):
     """(blocks, subgroup order) of the induction of (i-th linear extension) x
-    (alpha) from the small wreath product on k letters."""
+    (alpha) from the small wreath product on k letters: the frozen values
+    keyed by G's elements (0, b), off the complement absent, and the factor
+    on H with H's own monomial table."""
     pair = base_group(p)
     slot = pair.islots.index(i)
     theta = {(0, b): v for b, v in frozen_irr(pair.H)[slot].items()}
-    theta_mono = [None] * len(pair.G.elements)  # by G number, off the complement None
-    for b, v in zip(pair.H.elements, pair.H.monomials[slot]):
-        theta_mono[frozen_law(pair.G).index[(0, b)]] = v
-    return [(0, k, theta, theta_mono, alpha)], (p - 1) ** k * factorial(k)
+    return [(0, k, theta, pair.H, pair.H.monomials[slot], alpha)], (p - 1) ** k * factorial(k)
 
 
 def split_blocks(p, k, j_range=None):
@@ -314,9 +324,9 @@ def split_blocks(p, k, j_range=None):
     for 0 < j = |beta| < k unless `j_range` says otherwise."""
     pair = base_group(p)
     irr = frozen_irr(pair.G)
-    psi_r = (irr[pair.r - 1], pair.G.monomials[pair.r - 1])
+    psi_r = (irr[pair.r - 1], pair.G, pair.G.monomials[pair.r - 1])
     for i in pair.islots:
-        psi_i = (irr[i - 1], pair.G.monomials[i - 1])
+        psi_i = (irr[i - 1], pair.G, pair.G.monomials[i - 1])
         for j in j_range or range(1, k):
             order = len(pair.G.elements) ** k * factorial(j) * factorial(k - j)
             for beta in generate_partitions(j):
@@ -351,6 +361,21 @@ def test_class_sum_induction_matches_whole_group_average(p):
     for group, (blocks, order) in cases:
         got = cyclotomic_values(induce(group, oracle_blocks(blocks)))
         assert got == frozen_block_induce(group, rows[id(group)], blocks, order)
+
+
+@pytest.mark.parametrize("p,w", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 2)])
+def test_every_label_is_the_frozen_block_induction(p, w):
+    """One-block labels and the empty label at w = 0 go through `induce`
+    too: the factor is the group itself, or K is trivial."""
+    for kind in ("G", "H"):
+        group = wreath_group(p, w, kind)
+        rows = frozen_classes(group)[4]
+        sizes = set()
+        for label, blocks, order in label_characters(group):
+            sizes.add(len(blocks))
+            got = cyclotomic_values(parametrized_character(group, label))
+            assert got == frozen_block_induce(group, rows, blocks, order), (kind, label)
+        assert sizes == {0: {0}, 1: {1}, 2: {1, 2}}[w]
 
 
 @pytest.mark.parametrize("kind", ["G", "H"])
@@ -416,10 +441,11 @@ def test_mackey_multiplicities_match_the_frozen_block_inductions():
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
-def test_induction_evaluates_each_element_of_the_subgroup_once(p, k):
-    """Summing one id part per block lists each element of K exactly once,
-    and the product of the blocks' monomials is the frozen pointwise value
-    there."""
+def test_induction_class_entries_cover_the_subgroup(p, k):
+    """Summing one id part per block gives one representative per K-class.
+    Weighted by their K-class sizes, the representatives in each G-class c
+    count the frozen |c ∩ K|, and each entry is the class size times the
+    frozen pointwise value at its representative."""
     gw = wreath_group(p, k, "G")
     m = gw.base.value_order
     for blocks, order in [
@@ -427,26 +453,42 @@ def test_induction_evaluates_each_element_of_the_subgroup_once(p, k):
         linear_induction(p, k, base_group(p).islots[0], (k,)),
     ]:
         chi0 = frozen_block_chi0(gw, blocks)
-        per_block = [_block_entries(gw, *block) for block in oracle_blocks(blocks)]
-        assert prod(map(len, per_block)) == order
-        ids = set()
+        in_k = [0] * len(gw.class_reps)
+        for i, x in enumerate(gw.elements):
+            if chi0(x) is not None:
+                in_k[gw.class_of_index[i]] += 1
+        blocks_k = oracle_blocks(blocks)
+        factors = [factor for _, factor, *_ in blocks_k]
+        assert prod(factor.order for factor in factors) == order
+        per_block = [list(zip(_block_entries(gw, *block), factor.class_sizes))
+                     for block, factor in zip(blocks_k, factors)]
+        covered, ids = [0] * len(gw.class_reps), set()
         for parts in product(*per_block):
-            i = sum(part[0] for part in parts)
+            i = sum(entry[0] for entry, _ in parts)
+            size = prod(s for _, s in parts)
             ids.add(i)
-            value = _cyclotomic(m, prod(part[1] for part in parts), sum(part[2] for part in parts))
-            assert chi0(gw.elements[i]) == value, gw.elements[i]
-        assert len(ids) == order
+            covered[gw.class_of_index[i]] += size
+            value = chi0(gw.elements[i])
+            assert value is not None, gw.elements[i]
+            coef, exp = prod(entry[1] for entry, _ in parts), sum(entry[2] for entry, _ in parts)
+            assert _cyclotomic(m, coef, exp) == value * size, gw.elements[i]
+        assert len(ids) == prod(len(factor.class_reps) for factor in factors)
+        assert covered == in_k and sum(in_k) == order
     assert order == wreath_group(p, k, "H").order
 
 
 def test_verify_suite_releases_its_groups():
-    """No process-wide cache outside `_wreath_cached` keeps a group alive."""
-    oracle._wreath_cached.cache_clear()  # the group below is built afresh
+    """No process-wide cache outside `_wreath_cached` keeps a group alive,
+    the factor groups of the inductions included."""
+    oracle._wreath_cached.cache_clear()  # the groups below are built afresh
     verify_suite(3, 2)
-    ref = weakref.ref(wreath_group(3, 2, "G"))
+    built = oracle._wreath_cached.cache_info().currsize
+    pair = base_group(3)
+    refs = [weakref.ref(_wreath_cached(base, w)) for base in (pair.G, pair.H) for w in (1, 2)]
+    assert oracle._wreath_cached.cache_info().currsize == built  # all four were kept
     oracle._wreath_cached.cache_clear()
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def test_verify_suite_induces_each_character_once(monkeypatch):
@@ -491,9 +533,9 @@ def test_verify_suite_takes_each_norm_and_restriction_once(monkeypatch):
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
-def test_induction_takes_one_symmetric_group_value_per_permutation(p, k, monkeypatch):
-    """The symmetric-group value of a block's permutation serves every
-    element with that permutation."""
+def test_induction_takes_at_most_one_symmetric_group_value_per_factor_class(p, k, monkeypatch):
+    """Each block's symmetric-group values are taken at its factor's class
+    representatives, once each."""
     gw = wreath_group(p, k, "G")
     calls = []
 
@@ -501,14 +543,14 @@ def test_induction_takes_one_symmetric_group_value_per_permutation(p, k, monkeyp
         calls.append((lam, rho))
         return mn_value(lam, rho)
 
-    monkeypatch.setattr(oracle, "mn_value", recording)
-    count = 0
-    for blocks, _ in multi_block_characters(gw):
+    cases = [oracle_blocks(blocks) for blocks, _ in multi_block_characters(gw)]
+    cases += [oracle_blocks(linear_induction(p, k, i, (k,))[0]) for i in base_group(p).islots]
+    monkeypatch.setattr(oracle, "mn_value", recording)  # the factor groups are built
+    for blocks in cases:
         calls.clear()
-        induce(gw, oracle_blocks(blocks))
-        assert calls and len(calls) <= sum(factorial(size) for _, size, *_ in blocks)
-        count += 1
-    assert count
+        induce(gw, blocks)
+        assert calls and len(calls) <= sum(len(factor.class_reps) for _, factor, *_ in blocks)
+    assert cases
 
 
 @pytest.mark.parametrize("p,w,kind", [(3, 4, "G"), (3, 4, "H"), (5, 3, "G")])
