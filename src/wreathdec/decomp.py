@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import factorial
-from operator import getitem
 from types import MappingProxyType
 from typing import Mapping
 
@@ -25,9 +24,8 @@ from .lr import restriction_expansion, schur_product
 from .partitions import (
     MultiPartition,
     Partition,
-    _core_and_weight,
     _require_odd_prime,
-    _runners,
+    _walk,
     check_label,
     generate_multipartitions,
     generate_partitions,
@@ -227,55 +225,6 @@ def blocks(n: int, p: int) -> dict[tuple[Partition, int], list[tuple[Partition, 
     for lam, key, basic in _walk(n, p):
         out.setdefault(key, []).append((lam, basic))
     return out
-
-
-def _bead_table(n: int, p: int):
-    """(steps, base, width): the partitions of n on L0 beads, L0 the least
-    multiple of p >= n, bead j at lam[j] + L0 - 1 - j.  A packed state holds,
-    in fields of `width` bits, the level sum S_r of runner r and then the bead
-    count of each runner; lam's is base, the empty partition's, plus
-    steps[j][lam[j]], the change as bead j moves up, over its parts.  Each
-    partial sum places distinct beads, every field a sum of nonnegative
-    per-bead terms below 2^width, so no field borrows from its neighbour."""
-    top, mid = n - 1 + (-n) % p, r_slot(p)  # L0 - 1
-    m = (top + n) // p + 1  # positions per runner: at most m beads, S_r < m^2 / 2
-    width = (m * m).bit_length()
-    bead = [(1 << width * (b % p + 1)) + (b // p if b % p == mid else 0)
-            for b in range(top + n + 1)]  # one bead at b
-    steps = [[bead[top - j + x] - bead[top - j] for x in range(n // (j + 1) + 1)] for j in range(n)]
-    return steps, sum(bead[: top + 1]), width
-
-
-def _walk(n: int, p: int):
-    """(lam, (core, weight), basic) for each partition of n, in order.  A p
-    above lam's first hook lam[0] + len(lam) - 1 leaves lam its own basic core
-    of weight 0, and p > n builds no table.  Otherwise the block depends only
-    on the bead counts, one memo key per block, and basic, an empty slot-r
-    quotient, is S_r == c_r(c_r-1)/2, which p more beads leave unchanged.
-    Each miss checks the counts, less (L0 - L)/p, and the flag against the
-    L beads of _runners, and raises if they differ."""
-    _require_odd_prime(p)
-    parts = generate_partitions(n)
-    if p > n:
-        yield from ((lam, (lam, 0), True) for lam in parts)
-        return
-    steps, base, width = _bead_table(n, p)
-    beads, mid, mask, seen = n + (-n) % p, r_slot(p), (1 << width) - 1, {}
-    for lam in parts:
-        if p > lam[0] + len(lam) - 1:
-            yield lam, (lam, 0), True
-            continue
-        state = sum(map(getitem, steps, lam), base)
-        entry = seen.get(state >> width)
-        if entry is None:
-            runners, c = _runners(lam, p), state >> width * (mid + 1) & mask
-            extra, run = (beads - sum(map(len, runners))) // p, runners[mid]
-            if (state >> width != sum(len(r) + extra << width * q for q, r in enumerate(runners))
-                    or (state & mask == c * (c - 1) // 2) != (not run or run[0] == len(run) - 1)):
-                raise RuntimeError(f"bead table disagrees with the abacus of {lam} at p={p}")
-            entry = seen[state >> width] = _core_and_weight(runners, p, n), c * (c - 1) // 2
-        key, target = entry
-        yield lam, key, state & mask == target
 
 
 def basic_set(n: int, p: int) -> list[Partition]:

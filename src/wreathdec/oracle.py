@@ -138,8 +138,8 @@ class BasePair(NamedTuple):
 
 
 def supported_p(p: int) -> bool:
-    """Whether base_group(p) exists; the O(1) bound is tested before primality."""
-    return p <= MAX_PRIME and is_odd_prime(p)
+    """Whether base_group(p) exists: an int p, not a bool, bound before primality."""
+    return type(p) is int and p <= MAX_PRIME and is_odd_prime(p)
 
 
 @cache
@@ -155,7 +155,7 @@ def base_group(p: int) -> BasePair:
     needed.  G is generated by (1, 0) and (0, 1), the numbers m and 1; H by 1.
     """
     if not supported_p(p):
-        raise ValueError(f"p must be an odd prime <= {MAX_PRIME}, got {p}")
+        raise ValueError(f"p must be an odd prime <= {MAX_PRIME}, got {p!r}")
     m = p - 1
     g = primitive_root(p)
     r = (p + 1) // 2

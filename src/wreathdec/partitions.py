@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from functools import cache, partial, wraps
+from operator import getitem
 from typing import NamedTuple
 
 Partition = tuple[int, ...]
@@ -167,25 +168,12 @@ def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     }
 
 
-def beta_numbers(lam: Partition, length: int) -> list[int]:
-    """First-column hook lengths of lam padded with zero parts to `length`.
-
-    Returns the strictly decreasing sequence lam[i] + length - 1 - i; requires
-    length >= len(lam).
-    """
-    if length < len(lam):
-        raise ValueError("beta-set length must cover every part")
-    padded = lam + (0,) * (length - len(lam))
-    return [padded[i] + length - 1 - i for i in range(length)]
-
-
-def partition_from_beta(beta) -> Partition:
-    """Inverse of beta_numbers: strip the staircase from a set of distinct
-    nonnegative ints, in any order."""
-    beta = sorted(beta, reverse=True)
-    if (beta and beta[-1] < 0) or any(a == b for a, b in zip(beta, beta[1:])):
-        raise ValueError(f"not a valid beta-set: {beta}")
-    return _strip(beta)
+def _beads(lam: Partition, length: int) -> list[int]:
+    """The beta-set of lam on `length` >= len(lam) beads, top bead first,
+    unchecked: part bead i at lam[i] + length - 1 - i, then the staircase
+    length - len(lam) - 1 .. 0 of the zero parts."""
+    top = length - 1
+    return [x + top - i for i, x in enumerate(lam)] + list(range(length - len(lam) - 1, -1, -1))
 
 
 def _strip(beta) -> Partition:
@@ -193,6 +181,22 @@ def _strip(beta) -> Partition:
     bead's height above staircase position len(beta) - 1 - i, when positive."""
     last = len(beta) - 1
     return tuple([b - last + i for i, b in enumerate(beta) if b > last - i])
+
+
+def rim_hooks(lam: Partition, t: int) -> list[tuple[int, Partition]]:
+    """(sign, mu) for each rim t-hook of lam removed, top bead first,
+    unchecked.  On len(lam) beads a removal is a bead b sliding to a free
+    b - t >= 0; the sign is -1 to the number of beads it passes, the hook's
+    leg length, and mu is read back with _strip."""
+    beta = _beads(lam, len(lam))
+    occupied = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        if b - t < 0 or b - t in occupied:
+            continue
+        j = i + 1 + sum(1 for c in beta[i + 1:] if c > b - t)  # where b - t lands
+        out.append(((-1) ** (j - i - 1), _strip(beta[:i] + beta[i + 1:j] + [b - t] + beta[j:])))
+    return out
 
 
 class PQuotientResult(NamedTuple):
@@ -204,17 +208,18 @@ class PQuotientResult(NamedTuple):
 def _runners(lam: Partition, p: int) -> list[list[int]]:
     """The abacus of lam at p, unchecked: runner q lists the levels b // p of the
     beads b = q mod p of lam's beta-set, top bead first.  The beta-set has
-    length L, the least multiple of p with L >= len(lam): its len(lam) part
-    beads lie at lam[i] + L - 1 - i, and its L - len(lam) < p staircase beads
-    at 0 .. L - len(lam) - 1, each at level 0 of the runner of its own number."""
-    top = len(lam) - 1 + (-len(lam)) % p  # L - 1
+    length L, the least multiple of p with L >= len(lam), so its L - len(lam)
+    < p staircase beads each sit at level 0 of the runner of its own number."""
     runners: list[list[int]] = [[] for _ in range(p)]
-    for i, x in enumerate(lam):
-        b = x + top - i
+    for b in _beads(lam, len(lam) + (-len(lam)) % p):
         runners[b % p].append(b // p)
-    for q in range(top + 1 - len(lam)):
-        runners[q].append(0)
     return runners
+
+
+def _from_runners(runners, p: int) -> Partition:
+    """The partition on these runners, the inverse of _runners, unchecked:
+    level m of runner q is bead q + p*m."""
+    return _strip(sorted((q + p * m for q, run in enumerate(runners) for m in run), reverse=True))
 
 
 def _core_and_weight(runners: list[list[int]], p: int, size: int) -> tuple[Partition, int]:
@@ -223,8 +228,7 @@ def _core_and_weight(runners: list[list[int]], p: int, size: int) -> tuple[Parti
     0..c-1 of each runner of c beads, and the weight is the sum of the levels
     less the sum of c(c-1)/2.  Both depend only on the bead counts and size."""
     counts = [len(run) for run in runners]
-    core = _strip(sorted((q + p * m for q, c in enumerate(counts) for m in range(c)),
-                         reverse=True))
+    core = _from_runners([range(c) for c in counts], p)
     weight = sum(map(sum, runners)) - sum(c * (c - 1) // 2 for c in counts)
     if sum(core) + p * weight != size:
         raise RuntimeError(f"abacus lost boxes: core {core}, weight {weight}, "
@@ -265,11 +269,56 @@ def reconstruct_from_core_quotient(
     if _core_and_weight(runners, p, sum(core))[1]:
         raise ValueError(f"{core} has a hook divisible by {p}")
     extra = max(0, *(len(mu) - len(run) for mu, run in zip(quotient, runners)))
-    return _strip(sorted(
-        (q + p * m for q, (mu, run) in enumerate(zip(quotient, runners))
-         for m in beta_numbers(mu, len(run) + extra)),
-        reverse=True,
-    ))
+    return _from_runners([_beads(mu, len(run) + extra) for mu, run in zip(quotient, runners)], p)
+
+
+def _bead_table(n: int, p: int):
+    """(steps, base, width): the partitions of n on L0 beads, L0 the least
+    multiple of p >= n, bead j at lam[j] + L0 - 1 - j.  A packed state holds,
+    in fields of `width` bits, the level sum S_r of runner r = (p-1)/2 and then
+    the bead count of each runner; lam's is base, the empty partition's, plus
+    steps[j][lam[j]], the change as bead j moves up, over its parts.  Each
+    partial sum places distinct beads, every field a sum of nonnegative
+    per-bead terms below 2^width, so no field borrows from its neighbour."""
+    top, mid = n - 1 + (-n) % p, (p - 1) // 2  # L0 - 1
+    m = (top + n) // p + 1  # positions per runner: at most m beads, S_r < m^2 / 2
+    width = (m * m).bit_length()
+    bead = [(1 << width * (b % p + 1)) + (b // p if b % p == mid else 0)
+            for b in range(top + n + 1)]  # one bead at b
+    steps = [[bead[top - j + x] - bead[top - j] for x in range(n // (j + 1) + 1)] for j in range(n)]
+    return steps, sum(bead[: top + 1]), width
+
+
+def _walk(n: int, p: int):
+    """(lam, (core, weight), basic) for each partition of n, in order.  A p
+    above lam's first hook lam[0] + len(lam) - 1 leaves lam its own basic core
+    of weight 0, and p > n builds no table.  Otherwise the block depends only
+    on the bead counts, one memo key per block, and basic, an empty slot-r
+    quotient, is S_r == c_r(c_r-1)/2, which p more beads leave unchanged.
+    Each miss checks the counts, less (L0 - L)/p, and the flag against the
+    L beads of _runners, and raises if they differ."""
+    _require_odd_prime(p)
+    parts = generate_partitions(n)
+    if p > n:
+        yield from ((lam, (lam, 0), True) for lam in parts)
+        return
+    steps, base, width = _bead_table(n, p)
+    beads, mid, mask, seen = n + (-n) % p, (p - 1) // 2, (1 << width) - 1, {}
+    for lam in parts:
+        if p > lam[0] + len(lam) - 1:
+            yield lam, (lam, 0), True
+            continue
+        state = sum(map(getitem, steps, lam), base)
+        entry = seen.get(state >> width)
+        if entry is None:
+            runners, c = _runners(lam, p), state >> width * (mid + 1) & mask
+            extra, run = (beads - sum(map(len, runners))) // p, runners[mid]
+            if (state >> width != sum(len(r) + extra << width * q for q, r in enumerate(runners))
+                    or (state & mask == c * (c - 1) // 2) != (not run or run[0] == len(run) - 1)):
+                raise RuntimeError(f"bead table disagrees with the abacus of {lam} at p={p}")
+            entry = seen[state >> width] = _core_and_weight(runners, p, n), c * (c - 1) // 2
+        key, target = entry
+        yield lam, key, state & mask == target
 
 
 def hat(alpha: MultiPartition, p: int) -> MultiPartition:
@@ -293,8 +342,9 @@ def format_multipartition(mp: MultiPartition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "[3,1,1]" (whitespace-insensitive; "[]" is the empty partition)."""
-    data = json.loads(text)
+    """Parse "[3,1,1]" (whitespace-insensitive; "[]" is the empty partition);
+    text that is not a str, bytes too, is refused."""
+    data = json.loads(text) if isinstance(text, str) else None
     if not isinstance(data, list) or any(not isinstance(x, int) for x in data):
         raise ValueError(f"not a partition: {text!r}")
     return check_partition(data)
@@ -302,7 +352,7 @@ def parse_partition(text: str) -> Partition:
 
 def parse_multipartition(text: str) -> MultiPartition:
     """Parse "[[2],[1,1],[]]" into a tuple of partitions."""
-    data = json.loads(text)
+    data = json.loads(text) if isinstance(text, str) else None
     if not isinstance(data, list) or any(not isinstance(c, list) for c in data):
         raise ValueError(f"not a multipartition: {text!r}")
     return tuple(check_partition(c) for c in data)

@@ -1,7 +1,7 @@
 """Exact irreducible character values of symmetric groups.
 
-Character values are computed by the recursive border-strip expansion on
-beta-sets, degrees by the hook length formula; everything is an exact int.
+Character values are computed by the recursive rim-hook expansion over
+partitions.rim_hooks, degrees by the hook length formula; all exact ints.
 """
 
 from __future__ import annotations
@@ -12,34 +12,14 @@ from operator import mul
 
 from .partitions import (
     Partition,
-    beta_numbers,
     check_partition,
     check_size,
     generate_partitions,
     hook_lengths,
-    partition_from_beta,
+    rim_hooks,
 )
 
 TABLE_GUARD = 12
-
-
-def _strip_hooks(lam: Partition, t: int) -> list[tuple[int, Partition]]:
-    """All ways to remove a border strip of length t from lam.
-
-    Returns (sign, remaining partition) pairs; on the beta-set a removal is a
-    bead move b -> b - t onto a free position, and the sign is (-1)^(number of
-    beads jumped over), which is the leg length of the strip.
-    """
-    beta = beta_numbers(lam, len(lam))
-    occupied = set(beta)
-    out = []
-    for b in beta:
-        if b - t < 0 or b - t in occupied:
-            continue
-        jumped = sum(1 for c in beta if b - t < c < b)
-        rest = [c for c in beta if c != b] + [b - t]
-        out.append(((-1) ** jumped, partition_from_beta(rest)))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +28,7 @@ def _mn(lam: Partition, rho: Partition) -> int:
     if not rho:
         return 1
     t, rest = rho[0], rho[1:]
-    return sum(sign * _mn(mu, rest) for sign, mu in _strip_hooks(lam, t))
+    return sum(sign * _mn(mu, rest) for sign, mu in rim_hooks(lam, t))
 
 
 def mn_value(lam: Partition, rho: Partition) -> int:

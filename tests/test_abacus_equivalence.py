@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from wreathdec import decomp
+from wreathdec import partitions
 from wreathdec.decomp import basic_set, block_partition, blocks, r_slot
 from wreathdec.partitions import _runners, generate_partitions, p_core_and_quotient
 
@@ -114,8 +114,8 @@ def test_blocks_at_large_p_allocate_no_runners(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"abacus built for {args}")
 
-    monkeypatch.setattr(decomp, "_bead_table", refuse)
-    monkeypatch.setattr(decomp, "_runners", refuse)
+    monkeypatch.setattr(partitions, "_bead_table", refuse)
+    monkeypatch.setattr(partitions, "_runners", refuse)
     assert list(blocks(40, 41).items()) == [
         ((lam, 0), [(lam, True)]) for lam in generate_partitions(40)]
     for build, n in [(blocks, 3), (basic_set, 3), (basic_set, 40)]:
@@ -135,7 +135,7 @@ def test_bead_table_matches_runners_and_quotient(p):
     # L >= len(lam): (L0 - L) / p more on every runner
     mid = r_slot(p)
     for n in range(1, 31):
-        steps, base, width = decomp._bead_table(n, p)
+        steps, base, width = partitions._bead_table(n, p)
         mask, beads = (1 << width) - 1, n + (-n) % p
         for lam in generate_partitions(n):
             state = sum(map(getitem, steps, lam), base)
@@ -164,14 +164,14 @@ def shift_top_bead_level_sum(steps):  # (10,) at p = 3 is basic: S_r one too man
 @pytest.mark.parametrize("corrupt", [corrupt_top_bead, shift_top_bead_level_sum])
 @pytest.mark.parametrize("build", [blocks, basic_set])
 def test_a_wrong_bead_table_entry_fails_the_runner_check(build, corrupt, monkeypatch):
-    table = decomp._bead_table
+    table = partitions._bead_table
 
     def wrong(n, p):
         steps, base, width = table(n, p)
         corrupt(steps)
         return steps, base, width
 
-    monkeypatch.setattr(decomp, "_bead_table", wrong)
+    monkeypatch.setattr(partitions, "_bead_table", wrong)
     with pytest.raises(RuntimeError, match="disagrees with the abacus of"):
         build(10, 3)
 
@@ -179,17 +179,17 @@ def test_a_wrong_bead_table_entry_fails_the_runner_check(build, corrupt, monkeyp
 def test_the_runner_check_survives_optimized_mode():
     code = textwrap.dedent(
         """
-        from wreathdec import decomp
+        from wreathdec import decomp, partitions
         if __debug__:
             raise SystemExit("not running under -O")
-        table = decomp._bead_table
+        table = partitions._bead_table
 
         def wrong(n, p):
             steps, base, width = table(n, p)
             steps[0][-1] += 1
             return steps, base, width
 
-        decomp._bead_table = wrong
+        partitions._bead_table = wrong
         for build in (decomp.blocks, decomp.basic_set):
             try:
                 build(10, 3)

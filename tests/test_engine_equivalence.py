@@ -109,7 +109,7 @@ def test_engine_matches_frozen_per_pair_formula(case):
     assert list(restrict_G_to_H(gamma, p).items()) == list(frozen_restrict(gamma, p).items())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 4).flatmap(lambda n: st.sampled_from(generate_partitions(n))),
                 max_size=4))
 def test_schur_product_matches_fold_per_target(factors):

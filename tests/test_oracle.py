@@ -561,6 +561,47 @@ def test_verify_suite_checks_its_arguments_before_any_work(args, guard, message,
     assert not called
 
 
+NON_INT_P_CALLS = {
+    "base_group": "base_group(p)",
+    "wreath_group": "wreath_group(p, 1, 'G')",
+    "oracle_restriction": "oracle_restriction(((1,), (), ()), p)",
+    "verify_mackey_multiplicities": "verify_mackey_multiplicities(1, 1, (2,), (1,), (1,), p, 2)",
+}
+
+
+@pytest.mark.parametrize("p", [None, "3", ()], ids=["None", "str", "tuple"])
+@pytest.mark.parametrize("call", sorted(NON_INT_P_CALLS))
+def test_a_non_int_p_is_refused_once_base_group_3_is_cached(call, p):
+    """supported_p compared p <= MAX_PRIME before any type check: TypeError."""
+    base_group(3)
+    with pytest.raises(ValueError, match=re.escape(f"p must be an odd prime <= 17, got {p!r}")):
+        eval(NON_INT_P_CALLS[call])
+
+
+def test_a_non_int_p_is_refused_cold():
+    code = textwrap.dedent(
+        f"""
+        from wreathdec.oracle import *
+        from wreathdec.oracle import base_group
+        for call in {sorted(NON_INT_P_CALLS.values())!r}:
+            for p in (None, "3", ()):
+                try:
+                    eval(call)
+                except Exception as exc:
+                    print(type(exc).__name__, exc)
+        print(base_group.cache_info().currsize)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [f"ValueError p must be an odd prime <= 17, got {p!r}" for p in (None, "3", ())]
+    assert proc.stdout.splitlines() == expected * len(NON_INT_P_CALLS) + ["0"]
+
+
 def test_verify_suite_skips_unsupported():
     claims = verify_suite(2, 1)
     assert all(c.status == "skip" for c in claims)

@@ -8,7 +8,8 @@ import wreathdec as wd
 from wreathdec import decomp, lr
 
 from wreathdec.partitions import (
-    beta_numbers,
+    _beads,
+    _strip,
     check_partition,
     format_multipartition,
     format_partition,
@@ -19,7 +20,6 @@ from wreathdec.partitions import (
     p_core_and_quotient,
     parse_multipartition,
     parse_partition,
-    partition_from_beta,
     reconstruct_from_core_quotient,
 )
 
@@ -147,9 +147,9 @@ def test_hook_lengths_match_arm_leg_definition(lam):
 
 
 def test_beta_numbers_round_trip():
-    assert beta_numbers((4, 2, 1), 3) == [6, 3, 1]
-    assert partition_from_beta([6, 3, 1]) == (4, 2, 1)
-    assert partition_from_beta(beta_numbers((4, 2, 1), 6)) == (4, 2, 1)
+    assert _beads((4, 2, 1), 3) == [6, 3, 1]
+    assert _strip([6, 3, 1]) == (4, 2, 1)
+    assert _strip(_beads((4, 2, 1), 6)) == (4, 2, 1)
 
 
 def test_core_quotient_trivial_and_single_hook():
@@ -420,3 +420,17 @@ def test_parse_partition_rejects_booleans():
         parse_partition("[true, true]")
     with pytest.raises(ValueError, match="must be ints"):
         parse_multipartition("[[1], [true]]")
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_partition, b"[2,1]"),
+    (parse_partition, None),
+    (parse_partition, 3),
+    (parse_multipartition, b"[[2],[1]]"),
+    (parse_multipartition, None),
+    (parse_multipartition, 3),
+])
+def test_parse_refuses_text_that_is_not_a_str(parse, text):
+    """bytes were decoded and parsed; None and 3 raised TypeError in json.loads."""
+    with pytest.raises(ValueError, match=r"^not a (multi)?partition: "):
+        parse(text)
