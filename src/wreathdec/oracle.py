@@ -34,7 +34,7 @@ from .partitions import (
     generate_partitions,
     is_odd_prime,
 )
-from .sn_char import centralizer_order, mn_value
+from .sn_char import _mn, centralizer_order
 
 DEFAULT_GUARD = 10**6
 MAX_PRIME = 17
@@ -132,7 +132,6 @@ class BasePair(NamedTuple):
     p: int
     r: int
     islots: tuple[int, ...]
-    root: int
     G: BaseGroup
     H: BaseGroup
 
@@ -176,7 +175,7 @@ def base_group(p: int) -> BasePair:
     G = BaseGroup("G", g_elements, mul, inv, m, [m, 1], tuple(g_mono))
     h_mono = tuple(tuple((1, exps[i] * b % m) for b in range(m)) for i in islots)
     H = BaseGroup("H", range(m), [row[:m] for row in mul[:m]], inv[:m], m, [1], h_mono)
-    return BasePair(p, r, islots, g, G, H)
+    return BasePair(p, r, islots, G, H)
 
 
 @cache
@@ -454,16 +453,23 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
             raise ValueError(f"inner_product takes two ClassFunctions, got {x!r}")
     if a.group is not b.group:
         raise ValueError("class functions live on different groups")
-    m = a.group.base.value_order
+    return _inner(a.group.class_sizes, a.group.order, a.group.base.value_order, a.rows, b.rows)
+
+
+def _inner(weights, order: int, m: int, x_rows, y_rows) -> Fraction:
+    """The weighted sum of x * conj(y) over paired rows, divided by `order`:
+    each row lists a value's coefficients at the powers of the order-m root
+    z, so z^i times conj(z^j) adds to the coefficient of z^(i-j), and the
+    group-ring total is reduced to the field once.  Must come out rational."""
     total = [0] * m
-    for size, x, y in zip(a.group.class_sizes, a.rows, b.rows):
+    for weight, x, y in zip(weights, x_rows, y_rows):
         ys = [(j, v) for j, v in enumerate(y) if v]
         for i, u in enumerate(x):
             if u:
-                u *= size
+                u *= weight
                 for j, v in ys:
                     total[(i - j) % m] += u * v
-    return Cyclotomic(m, total).as_rational() / a.group.order
+    return Cyclotomic(m, total).as_rational() / order
 
 
 def _block_entries(group: WreathGroup, start: int, factor: WreathGroup, table,
@@ -478,7 +484,8 @@ def _block_entries(group: WreathGroup, start: int, factor: WreathGroup, table,
     its blocks' id parts, its value the product of their monomials and the
     size of its K-class the product of their class sizes.  A block's perm
     part is the rank of its permutation, which fixes every letter outside
-    the block."""
+    the block.  lam was checked with its label and the cycle types come from
+    `perm_cycles`, so the symmetric-group values are read unchecked (`_mn`)."""
     w, nperms, n = group.w, len(group._perms), len(group.base.elements)
     m, mul = group.base.value_order, factor.base.mul_table
     head, tail = tuple(range(start)), tuple(range(start + factor.w, w))
@@ -486,7 +493,7 @@ def _block_entries(group: WreathGroup, start: int, factor: WreathGroup, table,
     for j, size in zip(factor._rep_ids, factor.class_sizes):
         f, sigma = factor._split(j)
         cycles, ctype = perm_cycles(sigma)
-        value = size * mn_value(lam, ctype)
+        value = size * _mn(lam, ctype)
         c, e = _monomial(table, value, _cycle_product_ids(mul, f, cycles)) if value else (0, 0)
         f_part = sum(x * n ** (w - 1 - start - t) for t, x in enumerate(f)) * nperms
         perm_part = group._perm_rank[head + tuple(start + s for s in sigma) + tail]
@@ -591,15 +598,18 @@ def oracle_restriction(
     inner products, kept on the G group (each call returns a copy)."""
     _check_label(gamma, len(base_group(p).G.monomials))
     w = sum(map(sum, gamma))
-    gw = wreath_group(p, w, "G", guard)
+    return dict(_restriction(wreath_group(p, w, "G", guard), wreath_group(p, w, "H", guard), gamma))
+
+
+def _restriction(gw: WreathGroup, hw: WreathGroup, gamma: MultiPartition):
+    """Unchecked `oracle_restriction` on built groups: the kept dict itself."""
     if gamma not in gw._restriction_cache:
-        hw = wreath_group(p, w, "H", guard)
         res = restrict_to_h(gw, hw, parametrized_character(gw, gamma))
         gw._restriction_cache[gamma] = {
-            alpha: mult for alpha in generate_multipartitions(w, p - 1)
+            alpha: mult for alpha in generate_multipartitions(hw.w, len(hw.base.monomials))
             if (mult := _as_multiplicity(inner_product(res, parametrized_character(hw, alpha))))
         }
-    return dict(gw._restriction_cache[gamma])
+    return gw._restriction_cache[gamma]
 
 
 def _linear_induced(gw: WreathGroup, pair: BasePair, i: int, alpha: Partition):
@@ -647,7 +657,11 @@ def verify_mackey_multiplicities(
     alpha, beta, gamma = map(check_partition, (alpha, beta, gamma))
     if not 0 <= j <= k or sum(beta) != j or sum(gamma) != k - j or sum(alpha) != k:
         raise ValueError("sizes must satisfy |beta| = j, |gamma| = k - j, |alpha| = k")
-    gw = wreath_group(p, k, "G", guard)
+    return _mackey(wreath_group(p, k, "G", guard), pair, i, alpha, beta, gamma)
+
+
+def _mackey(gw: WreathGroup, pair: BasePair, i: int, alpha, beta, gamma) -> int:
+    """Unchecked `verify_mackey_multiplicities` on the built big wreath product."""
     rhs = parametrized_character(gw, _split_label(pair, i, beta, gamma))
     return _as_multiplicity(inner_product(_linear_induced(gw, pair, i, alpha), rhs))
 
@@ -695,24 +709,19 @@ def base_group_claims(p: int) -> list[ClaimResult]:
         for x in range(len(H.elements))
     )
     out.append(_claim("complement_second_orthogonality", {"p": p}, expected, sums))
-    # row orthogonality of the full base character table, summed in the group
-    # ring like `inner_product`
-    ok = True
-    for a, ta in enumerate(G.monomials):
-        for b, tb in enumerate(G.monomials):
-            total = [0] * m
-            for (c, e), (d, k) in zip(ta, tb):
-                total[(e - k) % m] += c * d
-            ip = Cyclotomic(m, total).as_rational() / len(G.elements)
-            ok = ok and ip == (1 if a == b else 0)
+    # row orthogonality of the full base character table: c * z^e is the
+    # group-ring row (0,) * e + (c,), and every element weighs 1
+    rows = [[(0,) * e + (c,) for c, e in table] for table in G.monomials]
+    ones = [1] * len(G.elements)
+    ok = all(_inner(ones, len(G.elements), m, x, y) == (1 if a == b else 0)
+             for a, x in enumerate(rows) for b, y in enumerate(rows))
     out.append(_claim("base_table_row_orthogonality", {"p": p}, True, ok))
     return out
 
 
-def class_structure_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResult]:
-    out = []
-    for kind in ("G", "H"):
-        group = wreath_group(p, w, kind, guard)
+def class_structure_claims(pair: BasePair, gw: WreathGroup, hw: WreathGroup) -> list[ClaimResult]:
+    p, w, out = pair.p, gw.w, []
+    for kind, group in (("G", gw), ("H", hw)):
         params = {"p": p, "w": w, "group": kind}
         # _build_classes has already checked these orbits against the cycle
         # structures and raises on a mismatch, so the claim reports its result
@@ -738,10 +747,9 @@ def class_structure_claims(p: int, w: int, guard: Optional[int] = None) -> list[
     return out
 
 
-def character_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResult]:
-    out = []
-    for kind in ("G", "H"):
-        group = wreath_group(p, w, kind, guard)
+def character_claims(pair: BasePair, gw: WreathGroup, hw: WreathGroup) -> list[ClaimResult]:
+    p, w, out = pair.p, gw.w, []
+    for kind, group in (("G", gw), ("H", hw)):
         params = {"p": p, "w": w, "group": kind}
         t = p if kind == "G" else p - 1
         chars = [parametrized_character(group, lab) for lab in generate_multipartitions(w, t)]
@@ -758,17 +766,14 @@ def character_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimR
     return out
 
 
-def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResult]:
+def tilde_restriction_claims(pair: BasePair, gw: WreathGroup, hw: WreathGroup) -> list[ClaimResult]:
     """Value-by-value agreement, on the embedded small wreath product, of the
     big-group extension characters with the small-group ones, and the closed
     form for the heavy slot, in one walk over the small wreath product: each
     element's cycle products through G's table and through H's.  A
     symmetric-group value v scales both sides alike, and v = 1 (the trivial
     character) occurs at every cycle type, so monomials compare at v = 1."""
-    pair = base_group(p)
-    wreath_group(p, w, "G", guard)  # refused past the guard, as in every suite
-    hw = wreath_group(p, w, "H", guard)
-    m = p - 1
+    p, w, m = pair.p, gw.w, pair.p - 1
     slots = [(pair.G.monomials[i - 1], small) for i, small in zip(pair.islots, pair.H.monomials)]
     psi_r = pair.G.monomials[pair.r - 1]
     agree, heavy_ok = [True] * len(slots), True
@@ -789,32 +794,23 @@ def tilde_restriction_claims(p: int, w: int, guard: Optional[int] = None) -> lis
     return out
 
 
-def restriction_claims(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResult]:
+def restriction_claims(pair: BasePair, gw: WreathGroup, hw: WreathGroup) -> list[ClaimResult]:
     """The main check: brute-force restriction multiplicities equal the
     label-level coefficients, for every big-group label."""
-    out = []
-    for gamma in generate_multipartitions(w, p):
-        out.append(
-            _claim(
-                "restriction_matches_formula",
-                {"p": p, "w": w, "gamma": gamma},
-                decomp.restrict_G_to_H(gamma, p),
-                oracle_restriction(gamma, p, guard),
-            )
-        )
-    return out
+    p, w = pair.p, gw.w
+    return [_claim("restriction_matches_formula", {"p": p, "w": w, "gamma": gamma},
+                   decomp.restrict_G_to_H(gamma, p), _restriction(gw, hw, gamma))
+            for gamma in generate_multipartitions(w, p)]
 
 
-def mackey_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResult]:
+def mackey_claims(pair: BasePair, gw: WreathGroup, hw: WreathGroup) -> list[ClaimResult]:
     """Multiplicity identities for the inductions between the two wreath
     products on k letters, against Littlewood-Richardson numbers: the
-    restriction of psi_r~ x beta from `oracle_restriction`, read at the
-    small-group labels theta_i~ x alpha, and the double inductions from
-    `verify_mackey_multiplicities`."""
-    pair = base_group(p)
-    out = []
+    restriction of psi_r~ x beta (`_restriction`), read at the small-group
+    labels theta_i~ x alpha, and the double inductions (`_mackey`)."""
+    p, k, out = pair.p, gw.w, []
     heavy = {  # psi_r~ x beta restricted: the split label with gamma empty
-        beta: oracle_restriction(_split_label(pair, 1, beta, ()), p, guard)
+        beta: _restriction(gw, hw, _split_label(pair, 1, beta, ()))
         for beta in generate_partitions(k)
     }
 
@@ -860,18 +856,16 @@ def mackey_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResu
                                     "gamma": gamma,
                                 },
                                 lr_coefficient(alpha, beta, gamma),
-                                verify_mackey_multiplicities(i, j, alpha, beta, gamma, p, k, guard),
+                                _mackey(gw, pair, i, alpha, beta, gamma),
                             )
                         )
     return out
 
 
-def reconstruction_claims(p: int, k: int, guard: Optional[int] = None) -> list[ClaimResult]:
+def reconstruction_claims(pair: BasePair, gw: WreathGroup, hw: WreathGroup) -> list[ClaimResult]:
     """The induced linear-extension characters decompose, as class functions,
     as the LR-weighted sum of the irreducibles of the split labels."""
-    pair = base_group(p)
-    gw = wreath_group(p, k, "G", guard)
-    out = []
+    p, k, out = pair.p, gw.w, []
     for i in pair.islots:
         for alpha in generate_partitions(k):
             lhs = _linear_induced(gw, pair, i, alpha).rows
@@ -895,25 +889,27 @@ def verify_suite(p: int, w: int, guard: Optional[int] = None) -> list[ClaimResul
     """All claims for the given parameters: the Mackey suite when w >= 1, the
     reconstruction suite when 1 <= w <= 2.  Groups that would exceed the
     element guard produce 'skip' records instead of failures, as does an
-    int p with no base group; malformed arguments raise before any work."""
+    int p with no base group; malformed arguments raise before any work.
+    The arguments and the guard are checked here, once: every suite after
+    the base-group claims computes on the two groups built here."""
     check_size(p, "p")
     _check_weight_and_guard(w, guard)
     try:
-        base_group(p)
+        pair = base_group(p)
     except ValueError as exc:
         return [ClaimResult("base_group_supported", {"p": p, "w": w}, "", str(exc), "skip")]
     out = base_group_claims(p)
     try:
-        wreath_group(p, w, "G", guard)
+        groups = pair, wreath_group(p, w, "G", guard), wreath_group(p, w, "H", guard)
     except GuardError as exc:
         out.append(ClaimResult("group_within_guard", {"p": p, "w": w}, "", str(exc), "skip"))
         return out
-    out += class_structure_claims(p, w, guard)
-    out += character_claims(p, w, guard)
-    out += tilde_restriction_claims(p, w, guard)
-    out += restriction_claims(p, w, guard)
+    out += class_structure_claims(*groups)
+    out += character_claims(*groups)
+    out += tilde_restriction_claims(*groups)
+    out += restriction_claims(*groups)
     if w >= 1:
-        out += mackey_claims(p, w, guard)
+        out += mackey_claims(*groups)
     if 1 <= w <= 2:
-        out += reconstruction_claims(p, w, guard)
+        out += reconstruction_claims(*groups)
     return out

@@ -10,6 +10,7 @@ from math import comb
 
 from bareiss import determinant
 from frozen_wreath import frozen_class_label
+from suite_groups import suite_groups
 
 from wreathdec import decomp, oracle
 from wreathdec.decomp import (
@@ -138,7 +139,7 @@ def test_criterion_5_mackey_multiplicities():
     total = 0
     for p, k_values in [(3, (1, 2, 3)), (5, (1, 2))]:
         for k in k_values:
-            claims = mackey_claims(p, k)
+            claims = mackey_claims(*suite_groups(p, k))
             bad = [c for c in claims if c.status == "fail"]
             assert not bad, bad[:3]
             total += len(claims)

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -22,6 +24,7 @@ from frozen_wreath import (
     frozen_law,
     frozen_mult,
 )
+from suite_groups import suite_groups
 
 from wreathdec import decomp, oracle
 from wreathdec.oracle import (
@@ -169,7 +172,7 @@ def test_class_counts():
         generate_multipartitions(2, 2)
     )
     for p, w in [(3, 1), (3, 2), (5, 1)]:
-        claims = class_structure_claims(p, w)
+        claims = class_structure_claims(*suite_groups(p, w))
         all_pass(claims)
 
 
@@ -211,7 +214,7 @@ def test_trivial_label_gives_trivial_character():
 
 def test_character_degrees_and_orthogonality():
     for p, w in [(3, 1), (3, 2), (5, 1)]:
-        all_pass(character_claims(p, w))
+        all_pass(character_claims(*suite_groups(p, w)))
 
 
 def test_character_degree_matches_formula_spot():
@@ -223,7 +226,7 @@ def test_character_degree_matches_formula_spot():
 
 def test_tilde_agreement_claims():
     for p, w in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
-        all_pass(tilde_restriction_claims(p, w))
+        all_pass(tilde_restriction_claims(*suite_groups(p, w)))
 
 
 def patched_tilde_claims(monkeypatch, p, w, kind, table, number, monomial):
@@ -237,7 +240,7 @@ def patched_tilde_claims(monkeypatch, p, w, kind, table, number, monomial):
                         base.generators, tuple(tables))
     monkeypatch.setattr(oracle, "base_group", lambda q: pair._replace(**{kind: patched}))
     try:
-        claims = tilde_restriction_claims(p, w)
+        claims = tilde_restriction_claims(*suite_groups(p, w))
     finally:
         oracle._wreath_cached.cache_clear()  # no group on the patched pair outlives the test
     return [(c.claim, c.params.get("slot"), c.status) for c in claims]
@@ -306,8 +309,8 @@ def test_a_wrong_heavy_value_fails_the_closed_form(p, w, monkeypatch):
 def test_tilde_claims_take_two_cycle_product_lists_per_element(p, w, calls, monkeypatch):
     """One list through G's table and one through H's per element of the
     small wreath product, shared by every slot and symmetric-group value."""
-    hw = wreath_group(p, w, "H")
-    wreath_group(p, w, "G")  # built first, so its class check is not counted
+    groups = suite_groups(p, w)  # built first, so their class checks are not counted
+    hw = groups[2]
     count = []
     products = oracle._cycle_product_ids
 
@@ -316,7 +319,7 @@ def test_tilde_claims_take_two_cycle_product_lists_per_element(p, w, calls, monk
         return products(*args)
 
     monkeypatch.setattr(oracle, "_cycle_product_ids", counting)
-    all_pass(tilde_restriction_claims(p, w))
+    all_pass(tilde_restriction_claims(*groups))
     assert len(count) == 2 * hw.order == calls
 
 
@@ -383,7 +386,7 @@ def test_a_self_compared_claim_holds_one_string():
     members = [[0, 2], [1]]
     claim = oracle._claim("orbit_classes_match_cycle_structure", {}, members, members)
     assert claim.expected is claim.computed and claim.status == "pass"
-    structure = [c for c in class_structure_claims(3, 4)
+    structure = [c for c in class_structure_claims(*suite_groups(3, 4))
                  if c.claim == "orbit_classes_match_cycle_structure"]
     assert len(structure) == 2 and all(c.expected is c.computed for c in structure)
 
@@ -423,7 +426,7 @@ def test_mackey_middle_case():
 
 
 def test_mackey_claims_at_largest_supported_prime():
-    claims = mackey_claims(7, 1)
+    claims = mackey_claims(*suite_groups(7, 1))
     assert claims and all(c.status == "pass" for c in claims)
 
 
@@ -608,6 +611,64 @@ def test_verify_suite_skips_unsupported():
     claims = verify_suite(3, 9, guard=100)
     assert any(c.status == "skip" for c in claims)
     assert not any(c.status == "fail" for c in claims)
+
+
+def recorded_wreath_group_calls(monkeypatch):
+    """Each `oracle.wreath_group` call from here on, as its bound arguments
+    (p, w, kind, guard) with the defaults filled in."""
+    calls, real = [], oracle.wreath_group
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(bound.arguments.values()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "wreath_group", recording)
+    return calls
+
+
+@pytest.mark.parametrize("p,w", [(3, 3), (5, 2)])
+def test_verify_suite_builds_its_two_groups_once(p, w, monkeypatch):
+    """The guard is checked once, at `verify_suite`: it builds G and then H,
+    and every suite computes on those two."""
+    calls = recorded_wreath_group_calls(monkeypatch)
+    all_pass(verify_suite(p, w))
+    assert calls == [(p, w, "G", None), (p, w, "H", None)]
+
+
+def test_a_refused_group_is_the_only_build_and_gives_the_skip_record(monkeypatch):
+    calls = recorded_wreath_group_calls(monkeypatch)
+    claims = verify_suite(3, 9, guard=100)
+    assert calls == [(3, 9, "G", 100)]
+    assert claims[len(base_group_claims(3)):] == [oracle.ClaimResult(
+        "group_within_guard", {"p": 3, "w": 9}, "",
+        "G-wreath product for p=3, w=9 exceeds the element guard of 100", "skip")]
+
+
+LABEL_FORMULAS = {"decomp", "lr_coefficient", "restriction_expansion"}
+
+
+def test_label_formulas_enter_the_oracle_only_as_the_formula_side_of_claims():
+    """The two routes stay independent: `oracle.py` imports the label-level
+    engine under these names only, and reads them only inside the `*_claims`
+    functions, where they give a claim's formula side."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("lr", "decomp"):
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name for alias in node.names
+                         if alias.name.rpartition(".")[2] in ("lr", "decomp")}
+    assert imported == LABEL_FORMULAS
+    seen = set()
+    for top in tree.body:
+        names = LABEL_FORMULAS & {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+        if names:
+            assert isinstance(top, ast.FunctionDef) and top.name.endswith("_claims"), names
+        seen |= names
+    assert seen == LABEL_FORMULAS
 
 
 def test_multiplicities_are_rational_integers():

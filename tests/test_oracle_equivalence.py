@@ -70,7 +70,7 @@ from wreathdec.oracle import (
     wreath_group,
 )
 from wreathdec.partitions import generate_multipartitions, generate_partitions
-from wreathdec.sn_char import mn_value
+from wreathdec.sn_char import _mn, mn_value
 
 CASES = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -541,11 +541,11 @@ def test_induction_takes_at_most_one_symmetric_group_value_per_factor_class(p, k
 
     def recording(lam, rho):
         calls.append((lam, rho))
-        return mn_value(lam, rho)
+        return _mn(lam, rho)
 
     cases = [oracle_blocks(blocks) for blocks, _ in multi_block_characters(gw)]
     cases += [oracle_blocks(linear_induction(p, k, i, (k,))[0]) for i in base_group(p).islots]
-    monkeypatch.setattr(oracle, "mn_value", recording)  # the factor groups are built
+    monkeypatch.setattr(oracle, "_mn", recording)  # the factor groups are built
     for blocks in cases:
         calls.clear()
         induce(gw, blocks)
