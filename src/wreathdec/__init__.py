@@ -4,7 +4,11 @@ with an independent brute-force verification oracle.
 The label-level engine (`decomp`) computes every multiplicity from
 Littlewood-Richardson numbers; the oracle (`oracle`) rebuilds the same
 numbers from explicit character tables of concretely enumerated groups.
+The oracle and its cyclotomic field (`cyclotomic`) load on first use of one
+of their names, so the label-side commands never import them.
 """
+
+import importlib
 
 from .partitions import (
     Partition,
@@ -22,7 +26,6 @@ from .partitions import (
 )
 from .sn_char import mn_value, degree, character_table_sn
 from .lr import lr_coefficient, iterated_lr, restriction_expansion
-from .cyclotomic import Cyclotomic, root_of_unity
 from .decomp import (
     k_coefficient,
     induce_H_to_G,
@@ -34,17 +37,26 @@ from .decomp import (
     basic_set,
     block_partition,
 )
-from .oracle import (
-    base_group,
-    wreath_group,
-    conjugacy_classes,
-    parametrized_character,
-    inner_product,
-    oracle_restriction,
-    verify_mackey_multiplicities,
-    verify_suite,
-    GuardError,
-)
+
+_LAZY = {  # lazy name: its submodule (a submodule maps to itself)
+    **dict.fromkeys(["cyclotomic", "Cyclotomic", "root_of_unity"], "cyclotomic"),
+    **dict.fromkeys(["oracle", "base_group", "wreath_group", "conjugacy_classes",
+                     "parametrized_character", "inner_product", "oracle_restriction",
+                     "verify_mackey_multiplicities", "verify_suite", "GuardError"], "oracle"),
+}
+
+
+def __getattr__(name):
+    """A lazy submodule, or one of its public names, imported on first use."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Partition",

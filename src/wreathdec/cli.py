@@ -16,9 +16,10 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 from math import comb
 
-from . import decomp, oracle
+from . import decomp
 from .partitions import generate_partitions, is_odd_prime
 
 BLOCKS_GUARD = 40
@@ -145,7 +146,7 @@ def _matrix_report(args, hlabels, matrix, **tail):
 
     def entries(row):
         i, pairs = row
-        return ",".join([f"[{i},%d,%d]"] * len(pairs)) % tuple([x for jv in pairs for x in jv])
+        return ",".join([f"[{i},%d,%d]"] * len(pairs)) % tuple(chain.from_iterable(pairs))
 
     cols = list(map(label_text, decomp.glabels(args.p, args.w)))
     rows = cols if hlabels is None else list(map(label_text, hlabels))
@@ -213,6 +214,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle  # the only subcommand that loads the oracle
     _require(args.w >= 0, f"w must be nonnegative, got {args.w}")
     # a p above MAX_PRIME gets a skip record from verify_suite
     _require(args.p > oracle.MAX_PRIME or oracle.supported_p(args.p),

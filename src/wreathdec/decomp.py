@@ -14,8 +14,9 @@ is ever constructed.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import compress, product
 from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -49,12 +50,12 @@ def hlabels(p: int, w: int) -> tuple[MultiPartition, ...]:
 
 @cache
 def _key_row(key: tuple[Partition, ...]) -> Mapping:
-    """Read-only induction row {(gamma^i in key order, gamma^r): k} of an orbit
-    key, the sorted nonempty components of an H-label.  Each split of every
-    component a adds prod c^a_{beta, gamma^i} times the Schur product of the
-    betas.  Empty slots are inert and permuting the non-r slots of alpha and
-    gamma together leaves k unchanged, so the row does not depend on p: each
-    key's row is computed once per process and shared by every p.  Unchecked:
+    """Read-only induction row {gamma^i in key order + (gamma^r, ()): k} of an orbit
+    key, the sorted nonempty components of an H-label; () fills its empty slots.
+    Each split of every component a adds prod c^a_{beta, gamma^i} times the Schur
+    product of the betas.  Empty slots are inert and permuting the non-r slots of
+    alpha and gamma together leaves k unchanged, so the row does not depend on p:
+    each key's row is computed once per process and shared by every p.  Unchecked:
     it is reached from checked labels and the enumerated H-labels only."""
     slot_splits = [
         [t for j in range(sum(a) + 1) for t in restriction_expansion(a, j)]
@@ -67,14 +68,15 @@ def _key_row(key: tuple[Partition, ...]) -> Mapping:
             coeff *= c
         gammas = tuple(g for _, g, _ in combo)
         for gamma_r, cr in schur_product(b for b, _, _ in combo).items():
-            row[gammas, gamma_r] = row.get((gammas, gamma_r), 0) + coeff * cr
+            entry = (*gammas, gamma_r, ())
+            row[entry] = row.get(entry, 0) + coeff * cr
     return MappingProxyType(row)
 
 
 def _orbit(alpha: MultiPartition):
     """The nonempty slots of alpha sorted by component, and its key's row."""
-    slots = sorted((s for s, a in enumerate(alpha) if a), key=alpha.__getitem__)
-    return slots, _key_row(tuple(alpha[s] for s in slots))
+    slots = sorted(compress(range(len(alpha)), alpha), key=alpha.__getitem__)
+    return slots, _key_row(tuple(map(alpha.__getitem__, slots)))
 
 
 def _coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
@@ -83,7 +85,7 @@ def _coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
     if any(g and not a for a, g in zip(alpha, gamma_i)):
         return 0  # shortcut: the key row has no entry for such a gamma
     slots, row = _orbit(alpha)
-    return row.get((tuple(gamma_i[s] for s in slots), gamma_r), 0)
+    return row.get((*(gamma_i[s] for s in slots), gamma_r, ()), 0)
 
 
 def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
@@ -104,22 +106,21 @@ def k_coefficient(alpha: MultiPartition, gamma: MultiPartition, p: int) -> int:
 def induce_H_to_G(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
     """All G-labels appearing in the induction of alpha, with multiplicities."""
     _require_odd_prime(p)
-    return _induce(check_label(alpha, p - 1), p)
+    return dict(zip(*_scatter(check_label(alpha, p - 1), p)))
 
 
-def _induce(alpha: MultiPartition, p: int) -> dict[MultiPartition, int]:
-    """induce_H_to_G unchecked: the row of alpha's orbit key, scattered back
-    through its slot permutation."""
+def _scatter(alpha: MultiPartition, p: int):
+    """The G-labels of alpha's induction and their multiplicities, in key-row
+    order: one itemgetter maps each entry's slot r to gamma^r, each nonempty
+    slot of alpha to its key component and every other slot to the () filler.
+    It takes p >= 3 indices, so it always returns a tuple."""
     slots, row = _orbit(alpha)
-    mid = r_slot(p)
-    result = {}
-    for (gammas, gamma_r), k in row.items():
-        gamma = [()] * (p - 1)
-        for s, g in zip(slots, gammas):
-            gamma[s] = g
-        gamma.insert(mid, gamma_r)
-        result[tuple(gamma)] = k
-    return result
+    m = len(slots)  # an entry holds m key components, then gamma^r, then ()
+    index = [m + 1] * (p - 1)
+    for i, s in enumerate(slots):
+        index[s] = i
+    index.insert(r_slot(p), m)
+    return map(itemgetter(*index), row), row.values()
 
 
 def restrict_G_to_H(gamma: MultiPartition, p: int) -> dict[MultiPartition, int]:
@@ -163,9 +164,9 @@ def _degree(label: MultiPartition) -> int:
 def k_rows(p: int, w: int):
     """Rows of k_matrix(p, w) as sorted (column, k) lists of the nonzero entries;
     the enumerated H-labels need no check."""
-    cols = {g: j for j, g in enumerate(glabels(p, w))}
-    for alpha in hlabels(p, w):
-        yield sorted((cols[gamma], k) for gamma, k in _induce(alpha, p).items())
+    col = {gamma: j for j, gamma in enumerate(glabels(p, w))}.__getitem__
+    for gammas, ks in (_scatter(alpha, p) for alpha in hlabels(p, w)):
+        yield sorted(zip(map(col, gammas), ks))
 
 
 def gram_rows(p: int, w: int):

@@ -8,8 +8,10 @@ permutations and folds each product once, so the two must agree exactly.
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from wreathdec import decomp
 from wreathdec.decomp import (
     glabels,
     hlabels,
@@ -129,3 +131,36 @@ def test_k_matrix_exhaustive_at_p3():
         assert list(k_rows(p, w)) == [
             [(j, v) for j, v in enumerate(row) if v] for row in expected
         ]
+
+
+def frozen_induce(alpha, p):
+    """The per-entry scatter that induce_H_to_G once ran: each key-row entry
+    is built as a list of p - 1 empty slots, alpha's nonempty slots filled
+    from the key components and gamma^r inserted at r."""
+    slots, row = decomp._orbit(alpha)
+    mid = r_slot(p)
+    result = {}
+    for (*gammas, gamma_r, _), k in row.items():
+        gamma = [()] * (p - 1)
+        for s, g in zip(slots, gammas):
+            gamma[s] = g
+        gamma.insert(mid, gamma_r)
+        result[tuple(gamma)] = k
+    return result
+
+
+SCATTER_CASES = [(p, w) for p in (3, 5, 7, 11, 13, 17, 19) for w in range(4)]
+SCATTER_CASES += [(5, 4), (3, 6), (13, 4)]
+
+
+@pytest.mark.parametrize("p,w", SCATTER_CASES)
+def test_scatter_matches_the_frozen_per_entry_loop(p, w):
+    """Key order included; w = 0 and p = 3, one H-slot on each side of r,
+    are among the cases."""
+    col = {gamma: j for j, gamma in enumerate(glabels(p, w))}
+    expected_rows = []
+    for alpha in hlabels(p, w):
+        expected = frozen_induce(alpha, p)
+        assert list(induce_H_to_G(alpha, p).items()) == list(expected.items()), alpha
+        expected_rows.append(sorted((col[gamma], k) for gamma, k in expected.items()))
+    assert list(k_rows(p, w)) == expected_rows
