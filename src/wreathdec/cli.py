@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
 
 from . import decomp
@@ -181,35 +181,39 @@ def _require_block_args(args) -> None:
     _require(is_odd_prime(args.p), f"p must be an odd prime, got {args.p}")
 
 
+def _block_groups(args):
+    """One group per block of decomp._blocks: its core's text, its weight, and
+    its members' texts and basic flags from the walk; cores are the only
+    partitions formatted here."""
+    fmt = _formatter(args.n)
+    for (core, weight), (_, texts, flags) in decomp._blocks(args.n, args.p).items():
+        yield fmt(core), weight, texts, flags
+
+
 def cmd_basicset(args) -> int:
     _require_block_args(args)
-    fmt = _formatter(args.n)
 
-    def groups():  # one group of records per block, its core formatted once
-        for (core, weight), members in decomp.blocks(args.n, args.p).items():
-            core = fmt(core)
-            yield [(fmt(lam), core, weight, basic) for lam, basic in members]
+    def text(block):  # one % template per block: a text and a flag per record
+        core, weight, texts, flags = block
+        record = '{"partition":"%%s","core":"%s","weight":%d,"basic":%%s}' % (core, weight)
+        return ",".join([record] * len(texts)) % tuple(
+            chain.from_iterable(zip(texts, map(("false", "true").__getitem__, flags))))
 
     _emit(args, lambda: _chunks(
         args, ["partition", "core", "weight", "basic"], {"n": args.n, "p": args.p, "partitions": []},
-        groups(), lambda records: _json([
-            {"partition": lam, "core": core, "weight": weight, "basic": basic}
-            for lam, core, weight, basic in records])[1:-1], list))
+        _block_groups(args), text,
+        lambda block: zip(block[2], repeat(block[0]), repeat(block[1]), block[3])))
     return 0
 
 
 def cmd_blocks(args) -> int:
     _require_block_args(args)
-    fmt = _formatter(args.n)
-
-    def groups():
-        for (core, weight), members in decomp.block_partition(args.n, args.p).items():
-            yield fmt(core), weight, list(map(fmt, members))
-
     _emit(args, lambda: _chunks(
-        args, ["core", "weight", "partition"], {"n": args.n, "p": args.p, "blocks": []}, groups(),
-        lambda block: _json(dict(zip(["core", "weight", "partitions"], block))),
-        lambda block: [[block[0], block[1], lam] for lam in block[2]]))
+        args, ["core", "weight", "partition"], {"n": args.n, "p": args.p, "blocks": []},
+        _block_groups(args),
+        lambda block: '{"core":"%s","weight":%d,"partitions":["%s"]}' % (
+            block[0], block[1], '","'.join(block[2])),
+        lambda block: zip(repeat(block[0]), repeat(block[1]), block[2])))
     return 0
 
 

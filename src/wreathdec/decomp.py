@@ -218,14 +218,26 @@ def gram_determinant(p: int, w: int) -> int:
     return int(len(hlabels(p, w)) == len(glabels(p, w)))
 
 
+def _blocks(n: int, p: int) -> dict[tuple[Partition, int], tuple[list, list, list]]:
+    """{(core, weight): (partitions, texts, flags)} in one pass of _walk, each
+    list in generate_partitions order, blocks in order of their first member;
+    texts[i] is format_partition(partitions[i])."""
+    out: dict = {}
+    for lam, text, key, basic in _walk(n, p):
+        block = out.get(key)
+        if block is None:
+            block = out[key] = ([], [], [])
+        block[0].append(lam)
+        block[1].append(text)
+        block[2].append(basic)
+    return out
+
+
 def blocks(n: int, p: int) -> dict[tuple[Partition, int], list[tuple[Partition, bool]]]:
     """Partitions of n grouped by block (core, weight), each paired with its
     basic-set flag, a view of _walk; blocks in order of their first member,
     members in generate_partitions order."""
-    out: dict[tuple[Partition, int], list[tuple[Partition, bool]]] = {}
-    for lam, key, basic in _walk(n, p):
-        out.setdefault(key, []).append((lam, basic))
-    return out
+    return {key: list(zip(lams, flags)) for key, (lams, _, flags) in _blocks(n, p).items()}
 
 
 def basic_set(n: int, p: int) -> list[Partition]:
@@ -233,10 +245,10 @@ def basic_set(n: int, p: int) -> list[Partition]:
     order: a view of _walk.  Their count equals the number of partitions of n
     with no part divisible by p, i.e. the number of classes of the symmetric
     group of order coprime to p."""
-    return [lam for lam, _, basic in _walk(n, p) if basic]
+    return [lam for lam, _, _, basic in _walk(n, p) if basic]
 
 
 def block_partition(n: int, p: int) -> dict[tuple[Partition, int], list[Partition]]:
     """Partitions of n grouped by (core, weight), as in blocks(); two labels
     share a group exactly when their cores agree."""
-    return {key: [lam for lam, _ in members] for key, members in blocks(n, p).items()}
+    return {key: lams for key, (lams, _, _) in _blocks(n, p).items()}

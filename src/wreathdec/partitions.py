@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from functools import cache, partial, wraps
-from operator import getitem
+from itertools import accumulate
 from typing import NamedTuple
 
 Partition = tuple[int, ...]
@@ -289,26 +289,53 @@ def _bead_table(n: int, p: int):
     return steps, sum(bead[: top + 1]), width
 
 
+def _prefix_walk(n: int, steps, base):
+    """(lam, text, state) for each partition of n, in generate_partitions order:
+    text is format_partition(lam) and state is sum(map(getitem, steps, lam),
+    base), both kept per prefix.  ZS1 lowers the last part above 1 and refills
+    after it, so each partition keeps the first k - 1 parts of its predecessor,
+    k the predecessor's count of parts above 1, and the prefixes are redone
+    from index k - 1 on: about one part per partition.  The 1s after a
+    partition's own last part above 1 add a difference of the prefix sums of
+    steps[j][1] to its state and one precomputed run of ",1" to its text.
+    Unchecked: steps[j] must cover the parts 0..n // (j + 1) of row j."""
+    ones_state = list(accumulate((row[1] for row in steps), initial=0))
+    ones_text = [",1" * r + "]" for r in range(n + 1)]
+    words = [[("," if j else "") + str(x) for x in range(n // (j + 1) + 1)] for j in range(n)]
+    pstate, ptext = [base] * (n + 1), ["["] * (n + 1)
+    k = 1
+    for lam in generate_partitions(n):
+        m, start = len(lam), k - 1
+        k = m - lam.count(1) or min(m, 1)  # (1,)*n keeps its first part as the prefix
+        for i in range(start, k):
+            x = lam[i]
+            pstate[i + 1] = pstate[i] + steps[i][x]
+            ptext[i + 1] = ptext[i] + words[i][x]
+        yield lam, ptext[k] + ones_text[m - k], pstate[k] + ones_state[m] - ones_state[k]
+
+
 def _walk(n: int, p: int):
-    """(lam, (core, weight), basic) for each partition of n, in order.  A p
-    above lam's first hook lam[0] + len(lam) - 1 leaves lam its own basic core
-    of weight 0, and p > n builds no table.  Otherwise the block depends only
-    on the bead counts, one memo key per block, and basic, an empty slot-r
-    quotient, is S_r == c_r(c_r-1)/2, which p more beads leave unchanged.
-    Each miss checks the counts, less (L0 - L)/p, and the flag against the
-    L beads of _runners, and raises if they differ."""
+    """(lam, text, (core, weight), basic) for each partition of n, in order,
+    text and bead state from one _prefix_walk.  A p above lam's first hook
+    lam[0] + len(lam) - 1 leaves lam its own basic core of weight 0, and
+    p > n builds no table: a shared row of zero steps walks the texts alone.
+    Otherwise the block depends only on the bead counts, one memo key per
+    block, and basic, an empty slot-r quotient, is S_r == c_r(c_r-1)/2, which
+    p more beads leave unchanged.  Each miss checks the counts, less
+    (L0 - L)/p, and the flag against the L beads of _runners, and raises if
+    they differ."""
     _require_odd_prime(p)
-    parts = generate_partitions(n)
+    generate_partitions(n)  # checks n before the table is sized by it
     if p > n:
-        yield from ((lam, (lam, 0), True) for lam in parts)
+        for lam, text, _ in _prefix_walk(n, [[0] * (n + 1)] * n, 0):
+            yield lam, text, (lam, 0), True
         return
     steps, base, width = _bead_table(n, p)
     beads, mid, mask, seen = n + (-n) % p, (p - 1) // 2, (1 << width) - 1, {}
-    for lam in parts:
+    for lam, text, state in _prefix_walk(n, steps, base):
         if p > lam[0] + len(lam) - 1:
-            yield lam, (lam, 0), True
+            yield lam, text, (lam, 0), True
             continue
-        state = sum(map(getitem, steps, lam), base)
         entry = seen.get(state >> width)
         if entry is None:
             runners, c = _runners(lam, p), state >> width * (mid + 1) & mask
@@ -318,7 +345,7 @@ def _walk(n: int, p: int):
                 raise RuntimeError(f"bead table disagrees with the abacus of {lam} at p={p}")
             entry = seen[state >> width] = _core_and_weight(runners, p, n), c * (c - 1) // 2
         key, target = entry
-        yield lam, key, state & mask == target
+        yield lam, text, key, state & mask == target
 
 
 def hat(alpha: MultiPartition, p: int) -> MultiPartition:

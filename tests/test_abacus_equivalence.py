@@ -19,7 +19,12 @@ import pytest
 
 from wreathdec import partitions
 from wreathdec.decomp import basic_set, block_partition, blocks, r_slot
-from wreathdec.partitions import _runners, generate_partitions, p_core_and_quotient
+from wreathdec.partitions import (
+    _runners,
+    format_partition,
+    generate_partitions,
+    p_core_and_quotient,
+)
 
 
 def frozen_partitions_bounded(n, largest):
@@ -146,6 +151,21 @@ def test_bead_table_matches_runners_and_quotient(p):
             c = counts[mid]
             empty = p_core_and_quotient(lam, p).quotient[mid] == ()
             assert (state & mask == c * (c - 1) // 2) == empty, (n, lam)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 37])
+def test_the_prefix_walk_gives_each_partition_its_text_and_bead_sum(p):
+    # p = 31 and 37 lie above every first hook of n <= 30, where _walk takes the
+    # texts alone from a table of zero steps; p = 13 lies on both sides of it
+    for n in range(31):
+        parts = generate_partitions(n)
+        steps, base, _ = partitions._bead_table(n, p)
+        walked = list(partitions._prefix_walk(n, steps, base))
+        assert [lam for lam, _, _ in walked] == list(parts), n
+        for lam, text, state in walked:
+            assert text == format_partition(lam), (n, lam)
+            assert state == sum(map(getitem, steps, lam), base), (n, lam)
+        assert [text for _, text, _, _ in partitions._walk(n, p)] == list(map(format_partition, parts))
 
 
 @pytest.mark.parametrize("p", [3, 7])

@@ -371,6 +371,17 @@ def test_matrix_labels_format_each_partition_once(command, monkeypatch, capsys):
     assert payload["cols"] == [format_multipartition(g) for g in decomp.glabels(5, 3)]
 
 
+@pytest.mark.parametrize("command,p", [("basicset", "7"), ("blocks", "3")])
+def test_the_out_file_equals_stdout_byte_for_byte(command, p, tmp_path, capsys):
+    """The benchmark's --out variant at n = 40, compared as bytes rather than
+    as parsed JSON."""
+    code, out = run_cli(capsys, command, "--p", p, "--n", "40")
+    assert code == 0
+    path = tmp_path / "report.json"
+    assert main([command, "--p", p, "--n", "40", "--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
 class FullStdout(io.StringIO):
     """A stdout on a full disk: every write, or only the final flush, fails."""
 
@@ -463,7 +474,7 @@ def test_a_bad_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
         return refuse
 
     monkeypatch.setattr(oracle, "verify_suite", spy("verify_suite"))
-    for name in ("blocks", "glabels", "hlabels"):
+    for name in ("blocks", "_blocks", "glabels", "hlabels"):
         monkeypatch.setattr(decomp, name, spy(name))
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "missing" / "x")])

@@ -78,6 +78,17 @@ def test_generate_partitions_order_is_lex_decreasing():
         assert len(set(parts)) == len(parts)
 
 
+def test_each_partition_keeps_the_prefix_of_its_predecessor():
+    # the order property the prefix walk of partitions._prefix_walk relies on:
+    # the successor keeps the first k - 1 parts, k the count of parts above 1
+    for n in range(41):
+        parts = generate_partitions(n)
+        for prev, lam in zip(parts, parts[1:]):
+            k = len(prev) - prev.count(1)
+            assert lam[: k - 1] == prev[: k - 1], (prev, lam)
+            assert lam[k - 1] == prev[k - 1] - 1, (prev, lam)
+
+
 def test_generate_multipartitions_small():
     assert generate_multipartitions(0, 4) == (((), (), (), ()),)
     assert generate_multipartitions(1, 3) == (
